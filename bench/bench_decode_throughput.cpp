@@ -2,18 +2,14 @@
 // breakdown (project / attend / score / evict / other) for the RoPE +
 // Keyformer configuration on a long-context preset.
 //
-// Three execution paths are measured over the *same* token stream:
-//   general_prechange — general blocked attention, keys stored raw and
-//                       re-rotated every step (the pre-fast-path decode
-//                       loop, kept as the baseline the speedup claim is
-//                       made against);
-//   general_prerot    — general path reading append-time-rotated keys
-//                       (isolates how much of the win is the rotation
-//                       contract alone);
-//   fast              — the fused single-query kernel (attention_decode)
-//                       on head-major pre-rotated keys.
+// Two execution paths are measured over the *same* token stream, both on
+// append-time-rotated keys:
+//   general_prerot — general blocked attention (the baseline the speedup
+//                    is reported against);
+//   fast           — the fused single-query kernel (attention_decode) on
+//                    head-major pre-rotated keys.
 // The bench also cross-checks parity: max |LM-logit delta| of each path
-// versus general_prechange, which must stay within float rounding.
+// versus general_prerot, which must stay within float rounding.
 //
 //   ./bench/bench_decode_throughput [--quick] [--gen N] [--seed S]
 //                                   [--csv DIR]
@@ -55,11 +51,10 @@ struct BenchSetup {
 };
 
 PathResult run_path(const std::string& name, bool fast_path,
-                    bool append_rotation, const BenchSetup& s) {
+                    const BenchSetup& s) {
   model::ModelConfig cfg = model::ModelConfig::gptj_like();
   cfg.max_seq_len = 8192;
   cfg.decode_fast_path = fast_path;
-  cfg.rope_append_time_rotation = append_rotation;
   model::Transformer m(cfg);
 
   // Deterministic prompt and decode token stream shared by every path so
@@ -150,12 +145,8 @@ int main(int argc, char** argv) {
             << ")\n";
 
   std::vector<PathResult> results;
-  results.push_back(run_path("general_prechange", /*fast=*/false,
-                             /*append_rotation=*/false, s));
-  results.push_back(run_path("general_prerot", /*fast=*/false,
-                             /*append_rotation=*/true, s));
-  results.push_back(run_path("fast", /*fast=*/true,
-                             /*append_rotation=*/true, s));
+  results.push_back(run_path("general_prerot", /*fast=*/false, s));
+  results.push_back(run_path("fast", /*fast=*/true, s));
   // ISA sweep of the fast path: one extra row per available kernel ISA
   // below the active one, so the artifact records the SIMD speedup matrix
   // alongside the fast-path-vs-general one.
@@ -164,8 +155,8 @@ int main(int argc, char** argv) {
     const auto isa = static_cast<cpu::CpuIsa>(i);
     if (isa == ambient || !cpu::isa_available(isa)) continue;
     cpu::set_isa_override(isa);
-    results.push_back(run_path(std::string("fast_") + cpu::isa_name(isa),
-                               /*fast=*/true, /*append_rotation=*/true, s));
+    results.push_back(
+        run_path(std::string("fast_") + cpu::isa_name(isa), /*fast=*/true, s));
     cpu::clear_isa_override();
   }
   for (auto& r : results) r.max_logit_delta = max_delta(results.front(), r);
@@ -213,10 +204,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // results[2] is the ambient-ISA "fast" row (the sweep rows follow it).
-  const PathResult& fast = results[2];
+  // results[1] is the ambient-ISA "fast" row (the sweep rows follow it).
+  const PathResult& fast = results[1];
   const double speedup = fast.tokens_per_s / base_tps;
-  std::cout << "fast path speedup vs pre-change general path: "
+  std::cout << "fast path speedup vs general path: "
             << Table::num(speedup, 2) << "x (isa " << fast.isa
             << "); max logit delta "
             << Table::num(fast.max_logit_delta, 7) << '\n';

@@ -17,11 +17,12 @@ Checks (each failure lists file and reason; exit code 1 on any):
      in src/mem, src/serve, src/core, or src/obs -- the annotated
      subsystems stay fully analyzed; a suppression is a finding, not a
      fix;
-  5. no `throw` inside the engine's per-request paths (Engine::run,
-     Engine::start_sequence, BatchScheduler::admit) -- run() promises a
-     definite finish reason for every request, and a throw in a
-     ThreadPool::parallel_for worker is std::terminate, so per-request
-     failures must be contained (kRejected/kTimeout/park), never thrown;
+  5. no `throw` inside the engine's per-request paths (Engine::run, the
+     Engine::Loop class body and every Engine::Loop:: member definition,
+     BatchScheduler::admit) -- run() promises a definite finish reason
+     for every request, and a throw in a ThreadPool::parallel_for worker
+     is std::terminate, so per-request failures must be contained
+     (kRejected/kTimeout/park), never thrown;
   6. SIMD variant TUs stay behind the dispatch table -- nobody #includes
      a *_avx2.cpp / *_avx512.cpp file (their per-file -m flags only apply
      when they compile as their own TU; textual inclusion would leak AVX
@@ -152,14 +153,28 @@ def _function_body(text: str, signature_re: str) -> tuple[int, str] | None:
 
 
 def check_no_throw_in_request_paths() -> list[str]:
-    """Engine::run's per-request paths contain no `throw` statement."""
+    """Engine::run's per-request paths contain no `throw` statement.
+
+    The paths are Engine::run, the Engine::Loop class (its inline members)
+    and every out-of-line Engine::Loop:: member, and BatchScheduler::admit.
+    A missing target, or no Engine::Loop:: member at all, is a finding.
+    """
+    engine = "src/serve/engine.cpp"
     targets = [
-        ("src/serve/engine.cpp", r"std::vector<Response>\s+Engine::run\b"),
-        ("src/serve/engine.cpp", r"void\s+Engine::start_sequence\b"),
+        (engine, r"std::vector<Response>\s+Engine::run\b"),
+        (engine, r"\bclass\s+Engine::Loop\b(?=\s*\{)"),
         ("src/serve/scheduler.cpp",
          r"std::vector<Sequence\*>\s+BatchScheduler::admit\b"),
     ]
+    engine_text = _strip_comments((REPO / engine).read_text())
+    members = sorted(set(re.findall(r"\bEngine::Loop::(~?\w+)\s*\(",
+                                    engine_text)))
+    targets += [(engine, rf"\bEngine::Loop::{re.escape(m)}\s*\(")
+                for m in members]
     errors = []
+    if not members:
+        errors.append(f"{engine}: no Engine::Loop:: member definitions "
+                      "found (lint check out of date?)")
     for rel, signature in targets:
         text = _strip_comments((REPO / rel).read_text())
         extracted = _function_body(text, signature)

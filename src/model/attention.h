@@ -106,12 +106,11 @@ std::vector<AttentionResult> attention_decode_batch(
     std::span<const DecodeBatchSlot> slots,
     AttentionTimings* timings = nullptr);
 
-/// True when the storage contract keeps cached keys pre-rotated (RoPE with
-/// immutable effective positions and append-time rotation enabled).
+/// True when the storage contract keeps cached keys pre-rotated: RoPE with
+/// immutable effective positions rotates each key once, at append time.
 constexpr bool keys_stored_rotated(const ModelConfig& cfg) noexcept {
   return cfg.positional == PositionalKind::kRoPE &&
-         cfg.position_mode == PositionMode::kOriginal &&
-         cfg.rope_append_time_rotation;
+         cfg.position_mode == PositionMode::kOriginal;
 }
 
 }  // namespace kf::model

@@ -50,13 +50,6 @@ struct ModelConfig {
   /// (parity-tested at 1e-5), so this is a performance switch, not a
   /// semantics switch.
   bool decode_fast_path = true;
-  /// Under RoPE with PositionMode::kOriginal, rotate keys once at append
-  /// time and store them rotated (effective positions are immutable, so
-  /// per-step re-rotation of the whole cache is pure waste). Off = store
-  /// raw keys and rotate every attention call — the pre-fast-path
-  /// behavior, kept as a benchmark baseline and a numerical cross-check.
-  /// Must not change while any cache is non-empty.
-  bool rope_append_time_rotation = true;
   WeightStyle weight_style = WeightStyle::kStructured;
   std::uint64_t weight_seed = 42;
   double rope_base = 10000.0;

@@ -114,12 +114,6 @@ class Transformer {
   /// general path; benches flip it to measure the speedup).
   void set_decode_fast_path(bool on) { cfg_.decode_fast_path = on; }
 
-  /// Toggles append-time RoPE rotation (see ModelConfig). Only flip on an
-  /// empty cache — benches use the off state as the pre-change baseline.
-  void set_rope_append_time_rotation(bool on) {
-    cfg_.rope_append_time_rotation = on;
-  }
-
   /// Prompt phase against the default state. Returns LM logits for every
   /// prompt position, shape [prompt_len, vocab]. `total_steps` is T in
   /// Algorithm 1.

@@ -1,7 +1,6 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -86,19 +85,6 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
   }
 }
 
-std::size_t Engine::insertable_prefix_tokens(const Sequence& seq) const {
-  const std::size_t bt = pool_->block_tokens();
-  // At least one prompt token must stay outside the prefix: the first
-  // generated token comes from the last prompt row's logits, which must be
-  // computed, not replayed.
-  std::size_t want = seq.prompt.size() - 1;
-  if (seq.shared_prefix_hint > 0) {
-    want = std::min(want, seq.shared_prefix_hint);
-  }
-  const std::size_t m = (want / bt) * bt;
-  return m >= prefix_index_->config().min_tokens ? m : 0;
-}
-
 EngineStats Engine::stats() const {
   const LockGuard lock(stats_mu_);
   return stats_;
@@ -119,11 +105,315 @@ void Engine::publish_stats(const EngineStats& stats) {
   stats_ = snap;
 }
 
-void Engine::start_sequence(Sequence& seq, std::size_t now_step,
-                            EngineStats& stats) {
-  // Re-admission after a preemption: the prompt re-prefills exactly like
-  // the first time (policies reset in begin_sequence and are deterministic
-  // per sequence), then the parked tokens replay below.
+namespace {
+
+/// The paged view of a layer cache (null for a contiguous one) — the
+/// engine's one downcast, for the paged counters and alloc-failure latch.
+const mem::PagedKvCache* paged_layer(const kv::SequenceKvState& kv,
+                                     std::size_t l) {
+  return dynamic_cast<const mem::PagedKvCache*>(&kv.layer(l));
+}
+
+}  // namespace
+
+class Engine::Loop {
+ public:
+  /// Materializes one Sequence per request, contains the invalid ones as
+  /// kRejected, and submits the rest in arrival order.
+  Loop(Engine& engine, std::span<const Request> requests);
+  ~Loop();
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  bool done() const { return finished_ == seqs_.size(); }
+  /// Jumps an idle engine's clock to the next arrival and stamps kQueued
+  /// on sequences seen arrived for the first time.
+  void advance_clock();
+  /// Finishes expired sequences as kTimeout: waiting ones past
+  /// deadline_steps or max_queue_steps, active ones past deadline_steps
+  /// (keeping their tokens so far).
+  void shed_timeouts();
+  /// Admits and prefills every sequence that fits, drains admission
+  /// rejections, and makes room (prefix trim, pressure preemption) until
+  /// a round admits nothing.
+  void admit_round();
+  /// One batched decode step for the whole active set.
+  void step();
+  /// Publishes the final stats and returns the Responses in request order.
+  std::vector<Response> responses();
+
+ private:
+  const char* containment_error(const Request& req) const;
+  void reject_shared_state();
+  void admit(Sequence& seq);
+  void start_sequence(Sequence& seq);
+  std::size_t insertable_prefix_tokens(const Sequence& seq) const;
+  void probe_waiting();
+  bool make_room();
+  bool pressure_preempt();
+  void record_peaks();
+  void record_occupancy(std::span<Sequence* const> active);
+  void park(Sequence& seq);
+  void park_or_reject(Sequence& seq);
+  void finish(Sequence& seq, FinishReason reason, std::string error);
+  void unpin(Sequence& seq);
+  void drop_kv(Sequence& seq);
+  bool kv_alloc_failed(const Sequence& seq) const;
+  bool past_deadline(const Sequence& seq) const {
+    return seq.deadline_steps > 0 &&
+           step_ >= seq.arrival_step + seq.deadline_steps;
+  }
+
+  Engine& engine_;
+  model::Transformer& model_;
+  mem::BlockPool* const pool_;
+  mem::PrefixIndex* const index_;
+  const bool tracing_;
+  /// Attention kernel timings, installed on the model while tracing; each
+  /// step's deltas become synthetic child spans of step_batch.
+  model::AttentionTimings attn_timings_;
+  /// The run's accumulator; published as snapshots, so readers of stats()
+  /// never observe a half-updated struct.
+  EngineStats stats_;
+  std::deque<Sequence> seqs_;  ///< stable addresses for scheduler pointers
+  BatchScheduler sched_;
+  std::size_t step_ = 0;      ///< the engine clock (decode-step index)
+  std::size_t finished_ = 0;  ///< sequences that went through finish()
+  std::vector<model::DecodeSlot> slots_;
+};
+
+Engine::Loop::Loop(Engine& engine, std::span<const Request> requests)
+    : engine_(engine),
+      model_(engine.model_),
+      pool_(engine.pool_.get()),
+      index_(engine.prefix_index_.get()),
+      tracing_(obs::trace_enabled()),
+      sched_(engine.cfg_.scheduler) {
+  stats_.isa = cpu::isa_name(cpu::active_isa());
+  engine_.publish_stats(stats_);
+  if (pool_ != nullptr) {
+    pool_->reset_peaks();
+    stats_.pool_capacity_blocks = pool_->stats().capacity_blocks;
+  }
+  const model::ModelConfig& mc = model_.config();
+  for (const Request& req : requests) {
+    Sequence& s = seqs_.emplace_back();
+    s.id = req.id;
+    s.prompt = req.prompt;
+    s.gen = req.gen;
+    s.arrival_step = req.arrival_step;
+    s.deadline_steps = req.deadline_steps;
+    s.max_queue_steps = req.max_queue_steps;
+    s.n_layers = mc.n_layers;
+    s.budget = kv::make_budget(s.prompt.empty() ? 1 : s.prompt.size(),
+                               s.gen.cache_ratio, s.gen.recent_ratio);
+    // Shape the eviction-decision sink once per sequence; its counters
+    // accumulate across preemption-resume replays (decisions executed,
+    // not unique tokens) and are folded into the engine at finish().
+    s.eviction.begin_sequence(mc.n_layers, mc.n_heads,
+                              s.prompt.size() + s.gen.max_new_tokens);
+    if (req.policy != nullptr) {
+      s.policy = req.policy;
+    } else {
+      s.owned_policy = kv::make_policy(engine_.cfg_.policy);
+      s.policy = s.owned_policy.get();
+    }
+    // Prefix-cache participation: engine-built policies only — the cached
+    // score snapshots are specific to the engine's policy configuration,
+    // and a caller-owned instance may be anything.
+    s.prefix_eligible = index_ != nullptr && req.policy == nullptr;
+    s.shared_prefix_hint = req.shared_prefix_hint;
+    // Containment: an invalid request becomes a kRejected Response with
+    // an error string instead of an exception killing the whole batch.
+    if (const char* why = containment_error(req)) {
+      finish(s, FinishReason::kRejected, why);
+    } else if (req.kv_state != nullptr) {
+      s.kv = req.kv_state;
+    } else if (pool_ == nullptr) {
+      // Size the arenas for the admission peak max(prompt, k+1) — the
+      // most this sequence ever holds per layer — so prefill appends
+      // never reallocate. Paged sequences get their state at admission,
+      // once the scheduler has placed them on a shard.
+      s.owned_kv = std::make_unique<kv::SequenceKvState>(
+          model_.make_kv_state(s.admission_cost_tokens()));
+      s.kv = s.owned_kv.get();
+    }
+  }
+  reject_shared_state();
+
+  // Submit the survivors in arrival order (stable: ties keep request
+  // order).
+  std::vector<Sequence*> order;
+  for (Sequence& s : seqs_) {
+    if (!s.finished()) order.push_back(&s);
+  }
+  std::ranges::stable_sort(order, {}, &Sequence::arrival_step);
+  for (Sequence* s : order) sched_.submit(s);
+  engine_.publish_stats(stats_);
+  // Kernel-level visibility while tracing: the attention sink is updated
+  // only on the batch step's calling thread (one shared sink is safe);
+  // policy timings are written per sequence inside parallel_for workers,
+  // so each sequence carries its own sink (installed at admission).
+  if (tracing_) model_.set_attention_timings(&attn_timings_);
+}
+
+Engine::Loop::~Loop() {
+  if (tracing_) model_.set_attention_timings(nullptr);
+}
+
+const char* Engine::Loop::containment_error(const Request& req) const {
+  if (req.prompt.empty()) return "serve request requires a non-empty prompt";
+  if (req.kv_state == nullptr) return nullptr;
+  // Placement decides the shard at admission; a pre-built external state
+  // would bypass the pool's accounting entirely.
+  if (pool_ != nullptr) {
+    return "paged memory mode cannot take external kv_state instances";
+  }
+  const model::ModelConfig& mc = model_.config();
+  if (!req.kv_state->matches(mc.n_layers, mc.n_heads, mc.d_head())) {
+    return "external kv_state geometry does not match the model";
+  }
+  return nullptr;
+}
+
+void Engine::Loop::reject_shared_state() {
+  // First request keeps the instance: two requests on one kv_state (or
+  // one policy instance) would clobber each other's caches/score state,
+  // and step_batch's own distinctness check only fires mid-run when their
+  // lifetimes happen to overlap — long after start_sequence() wiped the
+  // other request's in-flight caches.
+  std::unordered_set<const void*> kv_seen;
+  std::unordered_set<const void*> policy_seen;
+  for (Sequence& s : seqs_) {
+    if (s.finished()) continue;
+    if (s.kv != nullptr && s.owned_kv == nullptr &&
+        !kv_seen.insert(s.kv).second) {
+      finish(s, FinishReason::kRejected,
+             "serve requests must use distinct kv_state instances");
+    } else if (s.owned_policy == nullptr &&
+               !policy_seen.insert(s.policy).second) {
+      finish(s, FinishReason::kRejected,
+             "serve requests must use distinct policy instances");
+    }
+  }
+}
+
+void Engine::Loop::advance_clock() {
+  if (sched_.active_count() == 0) {
+    const auto next = sched_.next_arrival();
+    if (next.has_value() && *next > step_) step_ = *next;
+  }
+  // Timeline origin: TTFT and queue wait measure from the kQueued stamp.
+  // The waiting queue is arrival-ordered, so stop at the first future
+  // arrival.
+  const double t_now = now_seconds();
+  for (Sequence* seq : sched_.waiting()) {
+    if (seq->arrival_step > step_) break;
+    if (!seq->queued_stamped) {
+      seq->queued_stamped = true;
+      seq->queued_seconds = t_now;
+      seq->timeline.mark(TimelineEventKind::kQueued, t_now);
+    }
+  }
+}
+
+void Engine::Loop::shed_timeouts() {
+  const std::vector<Sequence*> waiting(sched_.waiting().begin(),
+                                       sched_.waiting().end());
+  for (Sequence* seq : waiting) {
+    const bool wait_exceeded =
+        seq->max_queue_steps > 0 && step_ >= seq->queue_enter_step &&
+        step_ - seq->queue_enter_step >= seq->max_queue_steps;
+    if (!past_deadline(*seq) && !wait_exceeded) continue;
+    sched_.remove_waiting(seq);
+    finish(*seq, FinishReason::kTimeout,
+           past_deadline(*seq) ? "deadline_steps expired while queued"
+                               : "queue wait exceeded max_queue_steps");
+  }
+  const std::vector<Sequence*> active(sched_.active().begin(),
+                                      sched_.active().end());
+  for (Sequence* seq : active) {
+    if (past_deadline(*seq)) {
+      finish(*seq, FinishReason::kTimeout, "deadline_steps expired");
+    }
+  }
+}
+
+void Engine::Loop::admit_round() {
+  bool progressed = true;
+  while (progressed) {
+    KF_TRACE_SCOPE("admit");
+    probe_waiting();
+    const std::vector<Sequence*> admitted = sched_.admit(step_);
+    for (Sequence* seq : admitted) admit(*seq);
+    // Admission rejections (demand above a whole shard, or a reservation
+    // denied past the retry cap) become kRejected responses, and the
+    // queue behind them keeps moving.
+    for (Sequence* seq : sched_.take_rejected()) {
+      finish(*seq, FinishReason::kRejected, std::move(seq->error));
+    }
+    progressed = !admitted.empty() || make_room();
+  }
+}
+
+void Engine::Loop::admit(Sequence& seq) {
+  const double t_admit = now_seconds();
+  seq.timeline.mark(TimelineEventKind::kAdmitted, t_admit);
+  if (seq.queued_stamped) {
+    engine_.hist_queue_wait_.record(t_admit - seq.queued_seconds);
+  }
+  if (tracing_) seq.policy->set_timing_sink(&seq.policy_timings);
+  seq.policy->set_eviction_sink(&seq.eviction);
+  if (pool_ != nullptr) {
+    // Materialize the placement decision: layer caches drawing blocks
+    // from the shard the scheduler just reserved on.
+    seq.owned_kv = std::make_unique<kv::SequenceKvState>(
+        *pool_, seq.shard, model_.config().n_layers);
+    seq.kv = seq.owned_kv.get();
+  }
+  // The admission charge covers the transient prefill peak; record it
+  // before settling so max_tokens_in_use reflects true memory.
+  record_peaks();
+  start_sequence(seq);
+  if (!seq.finished() && kv_alloc_failed(seq)) {
+    // Prefill (or resume replay) outgrew its reservation into emergency
+    // memory — an injected fault or a capacity race. Park it for a
+    // later, fully pool-backed retry.
+    park_or_reject(seq);
+    return;
+  }
+  {
+    KF_TRACE_SCOPE("settle");
+    sched_.settle(&seq);
+  }
+  // Finished during prefill (eos first token, max_new_tokens 0): retire
+  // at once, freeing its budget for the next waiting request this step.
+  if (seq.finished()) finish(seq, seq.finish, {});
+}
+
+std::size_t Engine::Loop::insertable_prefix_tokens(const Sequence& seq) const {
+  const std::size_t bt = pool_->block_tokens();
+  // At least one prompt token must stay outside the prefix: the first
+  // generated token comes from the last prompt row's logits, which must be
+  // computed, not replayed.
+  std::size_t want = seq.prompt.size() - 1;
+  if (seq.shared_prefix_hint > 0) {
+    want = std::min(want, seq.shared_prefix_hint);
+  }
+  const std::size_t m = (want / bt) * bt;
+  return m >= index_->config().min_tokens ? m : 0;
+}
+
+// Prefill + first-token selection for a newly admitted sequence. With the
+// prefix cache on: adopt a matching shared chain and prefill only the
+// suffix, or chunk the prefill at the shareable boundary and insert the
+// prefix chain into the index for the requests behind this one.
+// Re-admission of a preempted sequence (seq.tokens non-empty) prefills the
+// prompt the same way, then replays the parked tokens through
+// single-sequence decode steps — exact recomputation of the evicted state.
+void Engine::Loop::start_sequence(Sequence& seq) {
+  // Policies reset in begin_sequence and are deterministic per sequence,
+  // so a resumed prompt re-prefills exactly like the first time.
   const bool resume = !seq.tokens.empty();
   KF_TRACE_SCOPE(resume ? "resume_prefill" : "prefill");
   seq.policy->set_budget(seq.budget);
@@ -143,17 +433,17 @@ void Engine::start_sequence(Sequence& seq, std::size_t now_step,
   Tensor prompt_logits;
 
   // Resolve the prefix-cache match: the entry pinned at the admission
-  // probe, or — new this round — one an earlier sequence of the same
-  // admission batch just inserted.
+  // probe, or one an earlier sequence of the same admission batch just
+  // inserted.
   const mem::PrefixEntry* entry = nullptr;
-  if (prefix_index_ != nullptr && seq.prefix_eligible) {
+  if (index_ != nullptr && seq.prefix_eligible) {
     entry = seq.prefix_entry != nullptr
                 ? seq.prefix_entry
-                : prefix_index_->lookup(prompt, prompt.size() - 1);
+                : index_->lookup(prompt, prompt.size() - 1);
   }
 
   bool adopted = false;
-  if (entry != nullptr && prefix_index_->adopt(entry, *seq.kv)) {
+  if (entry != nullptr && index_->adopt(entry, *seq.kv)) {
     // Hit: the prefix K/V replays from the shared chain; only the suffix
     // runs. Cache-resident boundary scores were seeded by adopt();
     // policy-resident state (shared-scope Keyformer) imports here.
@@ -163,19 +453,15 @@ void Engine::start_sequence(Sequence& seq, std::size_t now_step,
         *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
     computed = prompt.size() - m;
     adopted = true;
-    ++stats.prefix_hits;
-    stats.prefix_tokens_reused += m;
-    stats.prefix_blocks_shared +=
+    ++stats_.prefix_hits;
+    stats_.prefix_tokens_reused += m;
+    stats_.prefix_blocks_shared +=
         model_.config().n_layers * entry->blocks_per_layer();
   }
-  if (seq.prefix_entry != nullptr) {
-    prefix_index_->unpin(seq.prefix_entry);
-    seq.prefix_entry = nullptr;
-    seq.prefix_blocks_per_layer = 0;
-  }
+  unpin(seq);
 
   if (!adopted) {
-    const std::size_t m = prefix_index_ != nullptr && seq.prefix_eligible
+    const std::size_t m = index_ != nullptr && seq.prefix_eligible
                               ? insertable_prefix_tokens(seq)
                               : 0;
     if (m > 0) {
@@ -190,16 +476,16 @@ void Engine::start_sequence(Sequence& seq, std::size_t now_step,
       model_.prefill_continue(*seq.kv, prompt.first(m), 0, *seq.policy,
                               seq.gen.max_new_tokens);
       seq.policy->set_budget(real_budget);
-      prefix_index_->insert(prompt.first(m), *seq.kv,
-                            seq.policy->export_score_state(m));
+      index_->insert(prompt.first(m), *seq.kv,
+                     seq.policy->export_score_state(m));
       // Chunk boundary: publish so the monitoring surface moves during a
       // long prefill instead of freezing at the last decode step.
-      stats.prefilled_tokens += m;
-      publish_stats(stats);
-      stats.prefilled_tokens -= m;
+      stats_.prefilled_tokens += m;
+      engine_.publish_stats(stats_);
+      stats_.prefilled_tokens -= m;
       prompt_logits = model_.prefill_continue(
           *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
-      ++stats.prefix_misses;
+      ++stats_.prefix_misses;
     } else {
       prompt_logits = model_.prefill(*seq.kv, prompt, *seq.policy,
                                      seq.gen.max_new_tokens);
@@ -207,7 +493,7 @@ void Engine::start_sequence(Sequence& seq, std::size_t now_step,
   }
 
   seq.peak_cache_tokens = std::max(seq.peak_cache_tokens, prompt.size());
-  if (!resume) seq.first_decode_step = now_step;
+  if (!resume) seq.first_decode_step = step_;
 
   seq.timeline.mark(TimelineEventKind::kPrefillEnd, now_seconds());
 
@@ -224,7 +510,7 @@ void Engine::start_sequence(Sequence& seq, std::size_t now_step,
       model_.decode(*seq.kv, seq.tokens[i - 1], seq.prompt.size() + i - 1,
                     i, seq.gen.max_new_tokens, *seq.policy);
     }
-    stats.resume_replayed_tokens += seq.tokens.size() - 1;
+    stats_.resume_replayed_tokens += seq.tokens.size() - 1;
     seq.peak_cache_tokens =
         std::max(seq.peak_cache_tokens, seq.kv->max_layer_tokens());
   } else if (seq.gen.max_new_tokens == 0) {
@@ -242,8 +528,8 @@ void Engine::start_sequence(Sequence& seq, std::size_t now_step,
     if (!seq.ttft_recorded) {
       seq.ttft_recorded = true;
       seq.timeline.mark(TimelineEventKind::kFirstToken, t_token);
-      hist_ttft_.record(t_token -
-                        (seq.queued_stamped ? seq.queued_seconds : t0));
+      engine_.hist_ttft_.record(
+          t_token - (seq.queued_stamped ? seq.queued_seconds : t0));
     }
     // Inter-token gaps restart here: after a resume replay the next decode
     // step measures from the replay's end, not across the parked interval.
@@ -251,647 +537,334 @@ void Engine::start_sequence(Sequence& seq, std::size_t now_step,
   }
   const double wall = now_seconds() - t0;
   seq.prefill_seconds += wall;
-  stats.prefilled_tokens += computed;
-  stats.prefill_seconds += wall;
+  stats_.prefilled_tokens += computed;
+  stats_.prefill_seconds += wall;
 }
 
-std::vector<Response> Engine::run(std::span<const Request> requests) {
-  KF_TRACE_SCOPE("engine.run");
-  // Kernel-level visibility while tracing: the attention timings sink is
-  // updated only on the batch-step's calling thread (one shared sink is
-  // safe); policy timings are written per sequence inside parallel_for
-  // workers, so each sequence carries its own sink (seq.policy_timings,
-  // installed at admission). Their deltas become synthetic child spans of
-  // each step — the per-ISA kernels themselves stay trace-free.
-  const bool tracing = obs::trace_enabled();
-  model::AttentionTimings attn_timings;
-  struct AttnSinkGuard {
-    model::Transformer& model;
-    bool active;
-    ~AttnSinkGuard() {
-      if (active) model.set_attention_timings(nullptr);
-    }
-  } attn_guard{model_, tracing};
-  if (tracing) model_.set_attention_timings(&attn_timings);
-
-  // The run accumulates into this local and publishes snapshots; readers
-  // of stats() never observe a half-updated struct.
-  EngineStats stats;
-  stats.isa = cpu::isa_name(cpu::active_isa());
-  publish_stats(stats);
-  if (pool_ != nullptr) {
-    pool_->reset_peaks();
-    stats.pool_capacity_blocks = pool_->stats().capacity_blocks;
-  }
-
-  // Containment: an invalid request becomes a kRejected Response with an
-  // error string instead of an exception killing the whole batch. The
-  // rejected sequence is finished before it is ever submitted; everything
-  // else proceeds normally.
-  const auto reject = [&stats](Sequence& s, std::string why) {
-    s.status = SequenceStatus::kFinished;
-    s.finish = FinishReason::kRejected;
-    s.error = std::move(why);
-    s.timeline.mark(TimelineEventKind::kFinished, now_seconds());
-    ++stats.rejections;
-  };
-
-  // Materialize sequences (deque: stable addresses for scheduler pointers).
-  std::deque<Sequence> seqs;
-  for (const Request& req : requests) {
-    Sequence s;
-    s.id = req.id;
-    s.prompt = req.prompt;
-    s.gen = req.gen;
-    s.arrival_step = req.arrival_step;
-    s.deadline_steps = req.deadline_steps;
-    s.max_queue_steps = req.max_queue_steps;
-    s.n_layers = model_.config().n_layers;
-    s.budget = kv::make_budget(s.prompt.empty() ? 1 : s.prompt.size(),
-                               s.gen.cache_ratio, s.gen.recent_ratio);
-    // Shape the eviction-decision sink once per sequence; its counters
-    // accumulate across preemption-resume replays (decisions executed,
-    // not unique tokens) and are distilled onto the Response at retire.
-    s.eviction.begin_sequence(model_.config().n_layers,
-                              model_.config().n_heads,
-                              s.prompt.size() + s.gen.max_new_tokens);
-    if (req.policy != nullptr) {
-      s.policy = req.policy;
-    } else {
-      s.owned_policy = kv::make_policy(cfg_.policy);
-      s.policy = s.owned_policy.get();
-    }
-    // Prefix-cache participation: engine-built policies only — the cached
-    // score snapshots are specific to the engine's policy configuration,
-    // and a caller-owned instance may be anything.
-    s.prefix_eligible = prefix_index_ != nullptr && req.policy == nullptr;
-    s.shared_prefix_hint = req.shared_prefix_hint;
-    if (req.prompt.empty()) {
-      reject(s, "serve request requires a non-empty prompt");
-      seqs.push_back(std::move(s));
-      continue;
-    }
-    if (req.kv_state != nullptr) {
-      if (pool_ != nullptr) {
-        // Placement decides the shard at admission; a pre-built external
-        // state would bypass the pool's accounting entirely.
-        reject(s, "paged memory mode cannot take external kv_state instances");
-        seqs.push_back(std::move(s));
-        continue;
-      }
-      if (!req.kv_state->matches(model_.config().n_layers,
-                                 model_.config().n_heads,
-                                 model_.config().d_head())) {
-        reject(s, "external kv_state geometry does not match the model");
-        seqs.push_back(std::move(s));
-        continue;
-      }
-      s.kv = req.kv_state;
-    } else if (pool_ == nullptr) {
-      // Size the arenas for the admission peak max(prompt, k+1) — the
-      // most this sequence ever holds per layer — so prefill appends
-      // never reallocate, and budgeted sequences stop over-reserving
-      // their full prompt+gen growth.
-      s.owned_kv = std::make_unique<kv::SequenceKvState>(
-          model_.make_kv_state(s.admission_cost_tokens()));
-      s.kv = s.owned_kv.get();
-    }
-    // Paged sequences get their state at admission, once the scheduler
-    // has placed them on a shard.
-    seqs.push_back(std::move(s));
-  }
-
-  // Reject shared state up front (first request keeps the instance): two
-  // requests on one kv_state (or one policy instance) would clobber each
-  // other's caches/score state, and step_batch's own distinctness check
-  // only fires mid-run when their lifetimes happen to overlap — long
-  // after start_sequence() wiped the other request's in-flight caches.
-  {
-    std::unordered_set<const void*> kv_seen;
-    std::unordered_set<const void*> policy_seen;
-    for (Sequence& s : seqs) {
-      if (s.finished()) continue;
-      if (s.kv != nullptr && s.owned_kv == nullptr &&
-          !kv_seen.insert(s.kv).second) {
-        reject(s, "serve requests must use distinct kv_state instances");
-        continue;
-      }
-      if (s.owned_policy == nullptr && !policy_seen.insert(s.policy).second) {
-        reject(s, "serve requests must use distinct policy instances");
-      }
+// Admission-time prefix probe: pin a matching shared chain for every
+// waiting eligible sequence so (a) the scheduler charges only the unshared
+// demand on shards holding the chain and (b) the chain cannot be trimmed
+// between the reduced charge and the adoption it promised.
+void Engine::Loop::probe_waiting() {
+  if (index_ == nullptr) return;
+  for (Sequence* seq : sched_.waiting()) {
+    if (!seq->prefix_eligible || seq->prefix_entry != nullptr) continue;
+    // A previous miss stays a miss until the entry set changes; skip the
+    // longest-prefix probe until the index's revision moves.
+    if (seq->prefix_probed_revision == index_->revision()) continue;
+    seq->prefix_probed_revision = index_->revision();
+    const mem::PrefixEntry* entry =
+        index_->lookup(seq->prompt, seq->prompt.size() - 1);
+    if (entry != nullptr) {
+      index_->pin(entry);
+      seq->prefix_entry = entry;
+      seq->prefix_blocks_per_layer = entry->blocks_per_layer();
     }
   }
+}
 
-  // Submit the survivors in arrival order (stable: ties keep request
-  // order); pre-rejected sequences are already finished.
-  std::vector<std::size_t> order(seqs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return seqs[a].arrival_step < seqs[b].arrival_step;
-                   });
-  BatchScheduler sched(cfg_.scheduler);
-  std::size_t finished = 0;
-  for (const std::size_t i : order) {
-    if (seqs[i].finished()) {
-      ++finished;
-    } else {
-      sched.submit(&seqs[i]);
-    }
-  }
-  publish_stats(stats);
-
-  std::size_t step = 0;
-  std::vector<model::DecodeSlot> slots;
-
-  // Captures what the Response needs from the caches, then — in paged
-  // mode — tears the sequence's state down so its blocks go back to the
-  // shard free list *now*, while the reservation the scheduler is about
-  // to release is still backing them. Contiguous states stay alive:
-  // external kv_state callers (generate() among them) inspect them after
-  // the run.
-  const auto retire = [&](Sequence& seq) {
-    KF_TRACE_SCOPE("retire", "sched");
-    seq.timeline.mark(TimelineEventKind::kFinished, now_seconds());
-    if (tracing && seq.policy != nullptr) seq.policy->set_timing_sink(nullptr);
-    if (seq.policy != nullptr) seq.policy->set_eviction_sink(nullptr);
-    // Fold this sequence's eviction decisions into the run counters, the
-    // engine-lifetime aggregate, and the per-policy registry counters.
-    stats.eviction_decisions += seq.eviction.decisions();
-    stats.evicted_tokens += seq.eviction.tokens_evicted();
-    stats.kept_tokens += seq.eviction.tokens_kept();
-    if (seq.eviction.decisions() > 0) {
-      {
-        const LockGuard lock(stats_mu_);
-        eviction_agg_.merge(seq.eviction);
-      }
-      if (seq.policy != nullptr) {
-        const std::string base = "evict." + seq.policy->name();
-        metrics_.counter(base + ".decisions").add(seq.eviction.decisions());
-        metrics_.counter(base + ".tokens_evicted")
-            .add(seq.eviction.tokens_evicted());
-        metrics_.counter(base + ".tokens_kept")
-            .add(seq.eviction.tokens_kept());
-      }
-    }
-    seq.final_cache_sizes.clear();
-    if (seq.kv == nullptr) return;  // never started (queue-time timeout)
-    for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-      seq.final_cache_sizes.push_back(seq.kv->layer_size(l));
-    }
-    if (pool_ != nullptr) {
-      for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-        const auto* paged =
-            dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-        if (paged == nullptr) continue;
-        if (prefix_index_ != nullptr) {
-          stats.prefix_cow_copies += paged->cow_copies();
-        }
-        stats.alloc_failures += paged->alloc_failures();
-      }
-      seq.owned_kv.reset();
-      seq.kv = nullptr;
-    }
-  };
-
-  // Did any layer outgrow its reservation into emergency heap memory?
-  // Latched by the no-throw allocation fallback; checked at every step
-  // boundary (an escaping exception inside the parallel decode workers
-  // is not an option — it would terminate the process).
-  const auto kv_alloc_failed = [this](const Sequence& seq) -> bool {
-    if (pool_ == nullptr || seq.kv == nullptr) return false;
-    for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-      const auto* paged =
-          dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-      if (paged != nullptr && paged->alloc_failed()) return true;
-    }
-    return false;
-  };
-
-  // Admission-time prefix probe: pin a matching shared chain for every
-  // waiting eligible sequence so (a) the scheduler charges only the
-  // unshared demand on shards holding the chain and (b) the chain cannot
-  // be trimmed between the reduced charge and the adoption it promised.
-  const auto probe_waiting = [&]() {
-    if (prefix_index_ == nullptr) return;
-    for (Sequence* seq : sched.waiting()) {
-      if (!seq->prefix_eligible || seq->prefix_entry != nullptr) continue;
-      // A previous miss stays a miss until the entry set changes; skip
-      // the longest-prefix probe until the index's revision moves.
-      if (seq->prefix_probed_revision == prefix_index_->revision()) continue;
-      seq->prefix_probed_revision = prefix_index_->revision();
-      const mem::PrefixEntry* entry =
-          prefix_index_->lookup(seq->prompt, seq->prompt.size() - 1);
-      if (entry != nullptr) {
-        prefix_index_->pin(entry);
-        seq->prefix_entry = entry;
-        seq->prefix_blocks_per_layer = entry->blocks_per_layer();
-      }
-    }
-  };
-
-  // Progress guard: with the engine idle and the queue head unable to fit,
-  // the index's retained chains are the only reclaimable memory — drop
-  // them LRU-first (clearing any waiting sequence's pins on the victim)
-  // until the head fits or nothing is left to trim.
-  const auto trim_for_progress = [&]() -> bool {
-    if (prefix_index_ == nullptr) return false;
+// Called when an admission round admitted nothing; true when it freed
+// something worth another round.
+bool Engine::Loop::make_room() {
+  const auto head = sched_.next_arrival();
+  if (!head.has_value() || *head > step_) return false;
+  if (sched_.active_count() == 0 && index_ != nullptr) {
+    // Idle engine, arrived head, no admission: the index's retained
+    // chains are the only reclaimable memory. Drop one LRU-first,
+    // clearing any waiting sequence's pins on it.
     const mem::PrefixEntry* victim =
-        prefix_index_->lru_candidate(/*include_pinned=*/false);
+        index_->lru_candidate(/*include_pinned=*/false);
     if (victim == nullptr) {
-      victim = prefix_index_->lru_candidate(/*include_pinned=*/true);
-      if (victim == nullptr) return false;
-      for (Sequence* seq : sched.waiting()) {
-        if (seq->prefix_entry == victim) {
-          prefix_index_->unpin(victim);
-          seq->prefix_entry = nullptr;
-          seq->prefix_blocks_per_layer = 0;
-        }
+      victim = index_->lru_candidate(/*include_pinned=*/true);
+      for (Sequence* seq : sched_.waiting()) {
+        if (victim != nullptr && seq->prefix_entry == victim) unpin(*seq);
       }
     }
     // try_drop keeps the pin check and the drop under one index-mutex
     // acquisition: a pin landing in between (ours above are cleared, but
     // external pinners exist) makes this a clean false, never a throw.
-    return prefix_index_->try_drop(victim);
-  };
+    if (victim != nullptr && index_->try_drop(victim)) return true;
+  }
+  return pressure_preempt();
+}
 
-  // Preemption: release everything the sequence holds — paged state torn
-  // down first so its blocks return while the reservation still backs
-  // them, mirroring retire() — but keep its committed tokens and re-queue
-  // it. Re-admission resumes it by recompute (see start_sequence).
-  const auto park = [&](Sequence& seq) {
-    KF_TRACE_SCOPE("preempt.park", "sched");
-    KF_TRACE_INSTANT("preempt", "sched");
-    const double t_park = now_seconds();
-    seq.timeline.mark(TimelineEventKind::kPreempted, t_park);
-    // Re-queue waits measure from the park, not the original arrival.
-    seq.queued_seconds = t_park;
-    if (tracing && seq.policy != nullptr) seq.policy->set_timing_sink(nullptr);
-    if (seq.policy != nullptr) seq.policy->set_eviction_sink(nullptr);
-    if (pool_ != nullptr && seq.kv != nullptr) {
-      for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-        const auto* paged =
-            dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-        if (paged != nullptr) stats.alloc_failures += paged->alloc_failures();
-      }
-      seq.owned_kv.reset();
-      seq.kv = nullptr;
-    } else if (seq.kv != nullptr) {
-      // Token mode: the arena stays with the sequence (it is re-sized
-      // state, not shared capacity); dropping the rows releases the
-      // abstract budget the scheduler uncharges below.
-      seq.kv->clear();
-    }
-    sched.preempt(&seq, step);
-    ++stats.preemptions;
-  };
+// Admission pressure: the queue head has been starved long enough — park
+// the scheduler's chosen victim so the head can take its budget.
+bool Engine::Loop::pressure_preempt() {
+  const PreemptionConfig& pc = engine_.cfg_.preempt;
+  if (!pc.enabled) return false;
+  const Sequence* head = sched_.waiting().front();
+  if (step_ < head->queue_enter_step + pc.queue_pressure_steps) return false;
+  Sequence* victim = sched_.pick_victim(step_, pc.min_victim_age_steps,
+                                        pc.max_per_sequence);
+  if (victim == nullptr) return false;
+  park(*victim);
+  return true;
+}
 
-  // A sequence whose pool refused it memory mid-flight parks for a resume
-  // under a fresh reservation — unless it already exhausted its preemption
-  // cap, in which case it is contained as kRejected (keeping the tokens
-  // generated so far) rather than thrash forever.
-  const auto park_or_reject = [&](Sequence& seq) {
-    if (cfg_.preempt.max_per_sequence > 0 &&
-        seq.preemptions >= cfg_.preempt.max_per_sequence) {
-      seq.status = SequenceStatus::kFinished;
-      seq.finish = FinishReason::kRejected;
-      seq.error = "KV block allocation kept failing after " +
-                  std::to_string(seq.preemptions) + " preemptions";
-      seq.finish_step = step;
-      retire(seq);
-      sched.release(&seq);
-      ++finished;
-      ++stats.rejections;
-      return;
+void Engine::Loop::record_peaks() {
+  stats_.max_tokens_in_use =
+      std::max(stats_.max_tokens_in_use, sched_.tokens_in_use());
+  stats_.max_blocks_in_use =
+      std::max(stats_.max_blocks_in_use, sched_.blocks_in_use());
+}
+
+// Per-batch occupancy, published with this step's snapshot — the live
+// series a Monitor samples.
+void Engine::Loop::record_occupancy(std::span<Sequence* const> active) {
+  stats_.max_batch = std::max(stats_.max_batch, active.size());
+  stats_.active_sequences = active.size();
+  stats_.waiting_sequences = sched_.waiting().size();
+  record_peaks();
+  if (pool_ == nullptr) return;
+  // Internal fragmentation this step: tokens actually cached vs the
+  // whole-block token slots holding them. The prefix index's retained
+  // chains are excluded — they are deliberate caching, not slack (an
+  // adopted chain is double-discounted here, so the measure clamps).
+  const std::size_t index_blocks =
+      index_ != nullptr ? index_->blocks_held() : 0;
+  const std::size_t used = pool_->stats().used_blocks;
+  const std::size_t used_tokens =
+      (used > index_blocks ? used - index_blocks : 0) * pool_->block_tokens();
+  if (used_tokens == 0) return;
+  std::size_t live = 0;
+  for (const Sequence* seq : active) live += seq->kv->total_tokens();
+  const double frag =
+      std::max(0.0, 1.0 - static_cast<double>(live) /
+                              static_cast<double>(used_tokens));
+  stats_.cur_fragmentation = frag;
+  stats_.max_fragmentation = std::max(stats_.max_fragmentation, frag);
+}
+
+void Engine::Loop::step() {
+  const std::vector<Sequence*> active(sched_.active().begin(),
+                                      sched_.active().end());
+  if (active.empty()) return;  // everything admitted so far retired
+  record_occupancy(active);
+
+  // The step wall covers the model call AND per-sequence sampling and
+  // bookkeeping, so decode_seconds is the true decode-phase latency
+  // (prefill_seconds likewise includes its first-token selection).
+  const double t0 = now_seconds();
+  slots_.clear();
+  for (const Sequence* seq : active) {
+    slots_.push_back({seq->feed_token(), seq->next_position(),
+                      seq->next_t(), seq->gen.max_new_tokens, seq->kv,
+                      seq->policy});
+  }
+  // Kernel-sink baselines, so the step's own project/attend/policy time
+  // can be carved into synthetic child spans below.
+  const auto policy_seconds = [](std::span<Sequence* const> seqs) {
+    double s = 0.0;
+    for (const Sequence* seq : seqs) {
+      s += seq->policy_timings.score_seconds + seq->policy_timings.evict_seconds;
     }
+    return s;
+  };
+  const std::uint64_t step_ticks0 = tracing_ ? trace_ticks() : 0;
+  const model::AttentionTimings attn_before = attn_timings_;
+  const double policy_before = tracing_ ? policy_seconds(active) : 0.0;
+  Tensor logits;
+  {
+    KF_TRACE_SCOPE("step_batch");
+    logits = model_.step_batch(slots_);
+  }
+  if (tracing_) {
+    // Sequential pseudo-spans laid out from the step start: aggregate
+    // sink deltas, not real thread-local intervals (policy observe runs
+    // per sequence in parallel, so its span can exceed the step wall).
+    std::uint64_t t = step_ticks0;
+    const auto emit = [&t](const char* name, double seconds) {
+      const std::uint64_t d = trace_seconds_to_ticks(seconds);
+      obs::trace_complete(name, "kernel", t, t + d);
+      t += d;
+    };
+    emit("attn.project",
+         attn_timings_.project_seconds - attn_before.project_seconds);
+    emit("attn.attend",
+         attn_timings_.attend_seconds - attn_before.attend_seconds);
+    emit("policy.observe", policy_seconds(active) - policy_before);
+  }
+  {
+    KF_TRACE_SCOPE("sample");
+    for (std::size_t b = 0; b < active.size(); ++b) {
+      Sequence* seq = active[b];
+      seq->peak_cache_tokens =
+          std::max(seq->peak_cache_tokens, seq->kv->max_layer_tokens());
+      seq->commit(model::select_greedy(logits.row(b), seq->recent_window(),
+                                       seq->gen.repetition_penalty,
+                                       seq->gen.banned_tokens));
+      ++stats_.decoded_tokens;
+    }
+  }
+  const double dt = now_seconds() - t0;
+  stats_.decode_seconds += dt;
+  ++stats_.steps;
+  engine_.hist_step_.record(dt);
+  // Every active sequence committed one token this step: one shared
+  // timestamp bounds the per-sequence inter-token gaps.
+  const double t_tokens = t0 + dt;
+  for (Sequence* seq : active) {
+    if (seq->last_token_seconds > 0.0) {
+      const double gap = t_tokens - seq->last_token_seconds;
+      engine_.hist_inter_token_.record(gap);
+      seq->inter_token.add(gap);
+    }
+    seq->last_token_seconds = t_tokens;
+  }
+  // Keep stats() live mid-run: one snapshot per decode step is the
+  // granularity an async front-end polls at.
+  stats_.reservation_retries = sched_.reservation_retries();
+  engine_.publish_stats(stats_);
+  for (Sequence* seq : active) {
+    seq->decode_seconds += dt;
+    if (seq->finished()) {
+      finish(*seq, seq->finish, {});
+    } else if (kv_alloc_failed(*seq)) {
+      // The step completed exactly (emergency memory holds real rows),
+      // but the sequence is over its physical budget: park it and
+      // recompute under a fresh reservation.
+      park_or_reject(*seq);
+    }
+  }
+  ++step_;
+}
+
+// Preemption: release everything the sequence holds but keep its committed
+// tokens and re-queue it. Re-admission resumes it by recompute (see
+// start_sequence).
+void Engine::Loop::park(Sequence& seq) {
+  KF_TRACE_SCOPE("preempt.park", "sched");
+  KF_TRACE_INSTANT("preempt", "sched");
+  const double t_park = now_seconds();
+  seq.timeline.mark(TimelineEventKind::kPreempted, t_park);
+  // Re-queue waits measure from the park, not the original arrival.
+  seq.queued_seconds = t_park;
+  if (tracing_) seq.policy->set_timing_sink(nullptr);
+  seq.policy->set_eviction_sink(nullptr);
+  drop_kv(seq);
+  // Token mode: the arena stays with the sequence (it is re-sized state,
+  // not shared capacity); dropping the rows releases the abstract budget
+  // the scheduler uncharges below.
+  if (seq.kv != nullptr) seq.kv->clear();
+  sched_.preempt(&seq, step_);
+  ++stats_.preemptions;
+}
+
+// A sequence whose pool refused it memory mid-flight parks for a resume
+// under a fresh reservation — unless it already exhausted its preemption
+// cap, in which case it is contained as kRejected (keeping the tokens
+// generated so far) rather than thrash forever.
+void Engine::Loop::park_or_reject(Sequence& seq) {
+  const std::size_t cap = engine_.cfg_.preempt.max_per_sequence;
+  if (cap > 0 && seq.preemptions >= cap) {
+    finish(seq, FinishReason::kRejected,
+           "KV block allocation kept failing after " +
+               std::to_string(seq.preemptions) + " preemptions");
+  } else {
     park(seq);
-  };
-
-  // Deadline enforcement in the engine's virtual clock: shed expired
-  // sequences — waiting ones that overstayed deadline_steps or
-  // max_queue_steps, active ones past deadline_steps (they keep their
-  // generated-so-far tokens) — so a stuck queue frees budget instead of
-  // growing.
-  const auto past_deadline = [&](const Sequence& seq) {
-    return seq.deadline_steps > 0 &&
-           step >= seq.arrival_step + seq.deadline_steps;
-  };
-  const auto shed_timeouts = [&]() {
-    const std::vector<Sequence*> waiting(sched.waiting().begin(),
-                                         sched.waiting().end());
-    for (Sequence* seq : waiting) {
-      const bool wait_exceeded =
-          seq->max_queue_steps > 0 && step >= seq->queue_enter_step &&
-          step - seq->queue_enter_step >= seq->max_queue_steps;
-      if (!past_deadline(*seq) && !wait_exceeded) continue;
-      sched.remove_waiting(seq);
-      if (seq->prefix_entry != nullptr) {
-        prefix_index_->unpin(seq->prefix_entry);
-        seq->prefix_entry = nullptr;
-        seq->prefix_blocks_per_layer = 0;
-      }
-      seq->status = SequenceStatus::kFinished;
-      seq->finish = FinishReason::kTimeout;
-      seq->error = past_deadline(*seq)
-                       ? "deadline_steps expired while queued"
-                       : "queue wait exceeded max_queue_steps";
-      seq->finish_step = step;
-      seq->timeline.mark(TimelineEventKind::kFinished, now_seconds());
-      KF_TRACE_INSTANT("timeout", "sched");
-      ++finished;
-      ++stats.timeouts;
-    }
-    const std::vector<Sequence*> active(sched.active().begin(),
-                                        sched.active().end());
-    for (Sequence* seq : active) {
-      if (!past_deadline(*seq)) continue;
-      seq->status = SequenceStatus::kFinished;
-      seq->finish = FinishReason::kTimeout;
-      seq->error = "deadline_steps expired";
-      seq->finish_step = step;
-      KF_TRACE_INSTANT("timeout", "sched");
-      retire(*seq);
-      sched.release(seq);
-      ++finished;
-      ++stats.timeouts;
-    }
-  };
-
-  // Admission pressure: the queue head has been starved long enough —
-  // park the scheduler's chosen victim so the head can take its budget.
-  const auto pressure_preempt = [&]() -> bool {
-    if (!cfg_.preempt.enabled) return false;
-    if (sched.waiting().empty()) return false;
-    Sequence* head = sched.waiting().front();
-    if (head->arrival_step > step) return false;
-    if (step < head->queue_enter_step + cfg_.preempt.queue_pressure_steps) {
-      return false;
-    }
-    Sequence* victim =
-        sched.pick_victim(step, cfg_.preempt.min_victim_age_steps,
-                          cfg_.preempt.max_per_sequence);
-    if (victim == nullptr) return false;
-    park(*victim);
-    return true;
-  };
-
-  // Timeline origin: stamp kQueued the first time the engine sees a
-  // sequence arrived (the waiting queue is arrival-ordered, so stop at the
-  // first future arrival). TTFT and queue wait measure from this stamp.
-  const auto stamp_arrivals = [&]() {
-    const double t_now = now_seconds();
-    for (Sequence* seq : sched.waiting()) {
-      if (seq->arrival_step > step) break;
-      if (!seq->queued_stamped) {
-        seq->queued_stamped = true;
-        seq->queued_seconds = t_now;
-        seq->timeline.mark(TimelineEventKind::kQueued, t_now);
-      }
-    }
-  };
-  while (finished < seqs.size()) {
-    // Idle engine: jump the clock to the next arrival.
-    if (sched.active_count() == 0) {
-      const auto next = sched.next_arrival();
-      if (next.has_value() && *next > step) step = *next;
-    }
-    stamp_arrivals();
-
-    // Shed expired sequences first: their freed budget is admissible this
-    // same step.
-    shed_timeouts();
-
-    // Admit + prefill newly eligible sequences; a sequence that finishes
-    // during prefill (eos first token, max_new_tokens 0) retires at once,
-    // freeing its budget for the next waiting request this same step.
-    bool admitted_any = true;
-    while (admitted_any) {
-      admitted_any = false;
-      KF_TRACE_SCOPE("admit");
-      probe_waiting();
-      for (Sequence* seq : sched.admit(step)) {
-        admitted_any = true;
-        const double t_admit = now_seconds();
-        seq->timeline.mark(TimelineEventKind::kAdmitted, t_admit);
-        if (seq->queued_stamped) {
-          hist_queue_wait_.record(t_admit - seq->queued_seconds);
-        }
-        if (tracing) seq->policy->set_timing_sink(&seq->policy_timings);
-        seq->policy->set_eviction_sink(&seq->eviction);
-        if (pool_ != nullptr) {
-          // Materialize the placement decision: layer caches drawing
-          // blocks from the shard the scheduler just reserved on.
-          seq->owned_kv = std::make_unique<kv::SequenceKvState>(
-              *pool_, seq->shard, model_.config().n_layers);
-          seq->kv = seq->owned_kv.get();
-        }
-        // The admission charge covers the transient prefill peak; record
-        // it before settling so max_tokens_in_use reflects true memory.
-        stats.max_tokens_in_use =
-            std::max(stats.max_tokens_in_use, sched.tokens_in_use());
-        stats.max_blocks_in_use =
-            std::max(stats.max_blocks_in_use, sched.blocks_in_use());
-        start_sequence(*seq, step, stats);
-        if (!seq->finished() && kv_alloc_failed(*seq)) {
-          // Prefill (or resume replay) outgrew its reservation into
-          // emergency memory — an injected fault or a capacity race.
-          // Park it for a later, fully pool-backed retry.
-          park_or_reject(*seq);
-          continue;
-        }
-        {
-          KF_TRACE_SCOPE("settle");
-          sched.settle(seq);
-        }
-        if (seq->finished()) {
-          seq->finish_step = step;
-          retire(*seq);
-          sched.release(seq);
-          ++finished;
-        }
-      }
-      // Drain admission rejections (demand above a whole shard, or a
-      // reservation denied past the retry cap): each becomes a kRejected
-      // response, and the queue behind it keeps moving.
-      for (Sequence* seq : sched.take_rejected()) {
-        if (seq->prefix_entry != nullptr) {
-          prefix_index_->unpin(seq->prefix_entry);
-          seq->prefix_entry = nullptr;
-          seq->prefix_blocks_per_layer = 0;
-        }
-        seq->finish_step = step;
-        seq->timeline.mark(TimelineEventKind::kFinished, now_seconds());
-        KF_TRACE_INSTANT("reject", "sched");
-        ++finished;
-        ++stats.rejections;
-      }
-      if (!admitted_any) {
-        const auto head = sched.next_arrival();
-        const bool head_ready = head.has_value() && *head <= step;
-        // Idle engine, arrived head, no admission: the prefix cache's
-        // retained blocks are squeezing the pool — reclaim and retry.
-        if (head_ready && sched.active_count() == 0 && trim_for_progress()) {
-          admitted_any = true;
-        } else if (head_ready && pressure_preempt()) {
-          // Starved head under admission pressure: a victim was parked;
-          // retry admission against the freed budget.
-          admitted_any = true;
-        }
-      }
-    }
-
-    const std::vector<Sequence*> active(sched.active().begin(),
-                                        sched.active().end());
-    if (active.empty()) continue;  // everything admitted so far retired
-
-    stats.max_batch = std::max(stats.max_batch, active.size());
-    // Per-batch occupancy, published with this step's snapshot — the
-    // live series a Monitor samples (the engine loop owns the scheduler,
-    // so reading waiting() here is within its threading contract).
-    stats.active_sequences = active.size();
-    stats.waiting_sequences = sched.waiting().size();
-    stats.max_tokens_in_use =
-        std::max(stats.max_tokens_in_use, sched.tokens_in_use());
-    stats.max_blocks_in_use =
-        std::max(stats.max_blocks_in_use, sched.blocks_in_use());
-    if (pool_ != nullptr) {
-      // Internal fragmentation this step: tokens actually cached vs the
-      // whole-block token slots holding them. The prefix index's retained
-      // chains are excluded — they are deliberate caching, not slack (an
-      // adopted chain is double-discounted here, so the measure clamps).
-      const std::size_t index_blocks =
-          prefix_index_ != nullptr ? prefix_index_->blocks_held() : 0;
-      const std::size_t used = pool_->stats().used_blocks;
-      const std::size_t used_tokens =
-          (used > index_blocks ? used - index_blocks : 0) *
-          pool_->block_tokens();
-      if (used_tokens > 0) {
-        std::size_t live = 0;
-        for (const Sequence* seq : active) live += seq->kv->total_tokens();
-        const double frag =
-            std::max(0.0, 1.0 - static_cast<double>(live) /
-                                    static_cast<double>(used_tokens));
-        stats.cur_fragmentation = frag;
-        stats.max_fragmentation = std::max(stats.max_fragmentation, frag);
-      }
-    }
-
-    // One decode step for the whole batch. The step wall covers the model
-    // call AND per-sequence sampling/bookkeeping, so decode_seconds is the
-    // true decode-phase latency (prefill_seconds likewise includes its
-    // first-token selection).
-    const double t0 = now_seconds();
-    slots.clear();
-    for (const Sequence* seq : active) {
-      model::DecodeSlot slot;
-      slot.token = seq->feed_token();
-      slot.position = seq->next_position();
-      slot.t = seq->next_t();
-      slot.total_steps = seq->gen.max_new_tokens;
-      slot.state = seq->kv;
-      slot.policy = seq->policy;
-      slots.push_back(slot);
-    }
-    // Kernel-sink baselines: what the timing sinks held before this step,
-    // so the step's own project/attend/policy time can be carved into
-    // synthetic child spans below.
-    std::uint64_t step_ticks0 = 0;
-    model::AttentionTimings attn_before = attn_timings;
-    double policy_before = 0.0;
-    if (tracing) {
-      step_ticks0 = trace_ticks();
-      for (const Sequence* seq : active) {
-        policy_before +=
-            seq->policy_timings.score_seconds + seq->policy_timings.evict_seconds;
-      }
-    }
-    Tensor logits;
-    {
-      KF_TRACE_SCOPE("step_batch");
-      logits = model_.step_batch(slots);
-    }
-    if (tracing) {
-      double policy_after = 0.0;
-      for (const Sequence* seq : active) {
-        policy_after +=
-            seq->policy_timings.score_seconds + seq->policy_timings.evict_seconds;
-      }
-      // Sequential pseudo-spans laid out from the step start: aggregate
-      // sink deltas, not real thread-local intervals (policy observe runs
-      // per sequence in parallel, so its span can exceed the step wall).
-      std::uint64_t t = step_ticks0;
-      const auto emit = [&t](const char* name, double seconds) {
-        const std::uint64_t d = trace_seconds_to_ticks(seconds);
-        obs::trace_complete(name, "kernel", t, t + d);
-        t += d;
-      };
-      emit("attn.project",
-           attn_timings.project_seconds - attn_before.project_seconds);
-      emit("attn.attend",
-           attn_timings.attend_seconds - attn_before.attend_seconds);
-      emit("policy.observe", policy_after - policy_before);
-    }
-    {
-      KF_TRACE_SCOPE("sample");
-      for (std::size_t b = 0; b < active.size(); ++b) {
-        Sequence* seq = active[b];
-        seq->peak_cache_tokens =
-            std::max(seq->peak_cache_tokens, seq->kv->max_layer_tokens());
-        const Token next = model::select_greedy(
-            logits.row(b), seq->recent_window(), seq->gen.repetition_penalty,
-            seq->gen.banned_tokens);
-        seq->commit(next);
-        ++stats.decoded_tokens;
-      }
-    }
-    const double dt = now_seconds() - t0;
-    stats.decode_seconds += dt;
-    ++stats.steps;
-    hist_step_.record(dt);
-    // Every active sequence committed one token this step: one shared
-    // timestamp bounds the per-sequence inter-token gaps.
-    const double t_tokens = t0 + dt;
-    for (Sequence* seq : active) {
-      if (seq->last_token_seconds > 0.0) {
-        const double gap = t_tokens - seq->last_token_seconds;
-        hist_inter_token_.record(gap);
-        seq->inter_token.add(gap);
-      }
-      seq->last_token_seconds = t_tokens;
-    }
-    // Keep stats() live mid-run: one snapshot per decode step is the
-    // granularity an async front-end polls at (per-token would publish
-    // the same struct under the same lock anyway).
-    stats.reservation_retries = sched.reservation_retries();
-    publish_stats(stats);
-    for (Sequence* seq : active) {
-      seq->decode_seconds += dt;
-      if (seq->finished()) {
-        seq->finish_step = step;
-        retire(*seq);
-        sched.release(seq);
-        ++finished;
-      } else if (kv_alloc_failed(*seq)) {
-        // The step completed exactly (emergency memory holds real rows),
-        // but the sequence is over its physical budget: park it and
-        // recompute under a fresh reservation.
-        park_or_reject(*seq);
-      }
-    }
-    ++step;
   }
+}
 
+// The one way a sequence leaves the run, wherever it is: never submitted
+// (containment), waiting (timeout, admission reject) or active.
+void Engine::Loop::finish(Sequence& seq, FinishReason reason,
+                          std::string error) {
+  const bool active =
+      std::ranges::find(sched_.active(), &seq) != sched_.active().end();
+  seq.status = SequenceStatus::kFinished;
+  seq.finish = reason;
+  seq.error = std::move(error);
+  seq.finish_step = step_;
+  seq.timeline.mark(TimelineEventKind::kFinished, now_seconds());
+  unpin(seq);
+  // Fold the sequence's eviction decisions (resume replays included) into
+  // the run counters, the engine-lifetime aggregate, and the per-policy
+  // registry counters.
+  const kv::EvictionTelemetry& ev = seq.eviction;
+  stats_.eviction_decisions += ev.decisions();
+  stats_.evicted_tokens += ev.tokens_evicted();
+  stats_.kept_tokens += ev.tokens_kept();
+  if (ev.decisions() > 0) {
+    {
+      const LockGuard lock(engine_.stats_mu_);
+      engine_.eviction_agg_.merge(ev);
+    }
+    const std::string base = "evict." + seq.policy->name();
+    engine_.metrics_.counter(base + ".decisions").add(ev.decisions());
+    engine_.metrics_.counter(base + ".tokens_evicted").add(ev.tokens_evicted());
+    engine_.metrics_.counter(base + ".tokens_kept").add(ev.tokens_kept());
+  }
+  if (active) {
+    KF_TRACE_SCOPE("retire", "sched");
+    if (tracing_) seq.policy->set_timing_sink(nullptr);
+    seq.policy->set_eviction_sink(nullptr);
+    seq.final_cache_sizes.clear();
+    for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
+      seq.final_cache_sizes.push_back(seq.kv->layer_size(l));
+    }
+    drop_kv(seq);
+    sched_.release(&seq);
+  }
+  ++finished_;
+  if (reason == FinishReason::kTimeout) {
+    KF_TRACE_INSTANT("timeout", "sched");
+    ++stats_.timeouts;
+  } else if (reason == FinishReason::kRejected) {
+    KF_TRACE_INSTANT("reject", "sched");
+    ++stats_.rejections;
+  }
+}
+
+void Engine::Loop::unpin(Sequence& seq) {
+  if (seq.prefix_entry == nullptr) return;
+  index_->unpin(seq.prefix_entry);
+  seq.prefix_entry = nullptr;
+  seq.prefix_blocks_per_layer = 0;
+}
+
+// Paged mode only: folds the layer caches' counters into the run stats,
+// then tears the state down so its blocks go back to the shard free list
+// *now*, while the reservation the scheduler is about to release still
+// backs them. Contiguous states stay alive: external kv_state callers
+// (generate() among them) inspect them after the run.
+void Engine::Loop::drop_kv(Sequence& seq) {
+  if (pool_ == nullptr || seq.kv == nullptr) return;
+  for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
+    if (const mem::PagedKvCache* paged = paged_layer(*seq.kv, l)) {
+      stats_.prefix_cow_copies += paged->cow_copies();
+      stats_.alloc_failures += paged->alloc_failures();
+    }
+  }
+  seq.owned_kv.reset();
+  seq.kv = nullptr;
+}
+
+// Did any layer outgrow its reservation into emergency heap memory?
+// Latched by the no-throw allocation fallback; checked at every step
+// boundary (an exception escaping the parallel decode workers would
+// terminate the process).
+bool Engine::Loop::kv_alloc_failed(const Sequence& seq) const {
+  if (pool_ == nullptr || seq.kv == nullptr) return false;
+  for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
+    const mem::PagedKvCache* paged = paged_layer(*seq.kv, l);
+    if (paged != nullptr && paged->alloc_failed()) return true;
+  }
+  return false;
+}
+
+std::vector<Response> Engine::Loop::responses() {
   if (pool_ != nullptr) {
-    stats.pool_peak_used_blocks = pool_->stats().peak_used_blocks;
+    stats_.pool_peak_used_blocks = pool_->stats().peak_used_blocks;
   }
-  stats.reservation_retries = sched.reservation_retries();
-  stats.active_sequences = 0;  // run drained: occupancy series settles to 0
-  stats.waiting_sequences = 0;
-  publish_stats(stats);
+  stats_.reservation_retries = sched_.reservation_retries();
+  stats_.active_sequences = 0;  // run drained: occupancy series settles to 0
+  stats_.waiting_sequences = 0;
+  engine_.publish_stats(stats_);
 
-  std::vector<Response> responses;
-  responses.reserve(seqs.size());
-  for (Sequence& seq : seqs) {
+  std::vector<Response> out;
+  out.reserve(seqs_.size());
+  for (Sequence& seq : seqs_) {
     Response r;
     r.id = seq.id;
     r.tokens = std::move(seq.tokens);
@@ -912,9 +885,23 @@ std::vector<Response> Engine::run(std::span<const Request> requests) {
     r.queue_wait_seconds = r.timeline.queue_wait_seconds();
     r.inter_token = seq.inter_token;
     r.eviction = seq.eviction.summary();
-    responses.push_back(std::move(r));
+    out.push_back(std::move(r));
   }
-  return responses;
+  return out;
+}
+
+std::vector<Response> Engine::run(std::span<const Request> requests) {
+  KF_TRACE_SCOPE("engine.run");
+  Loop loop(*this, requests);
+  while (!loop.done()) {
+    loop.advance_clock();
+    // Shed expired sequences first: their freed budget is admissible this
+    // same step.
+    loop.shed_timeouts();
+    loop.admit_round();
+    loop.step();
+  }
+  return loop.responses();
 }
 
 void add_engine_probes(obs::Monitor& monitor, Engine& engine) {

@@ -4,16 +4,19 @@
 // Structure (the Table 1 serving stack):
 //   Request --> Sequence (own KV caches + own policy instance + sampling
 //   state) --> BatchScheduler (admission under a batch-size and KV-memory
-//   budget) --> Engine loop:
-//       1. admit newly arrived requests that fit, prefilling each
-//          (prefill runs one sequence at a time, like the decode-centric
-//          continuous-batching servers this models);
-//       2. decode ONE token for every active sequence with a single
+//   budget) --> Engine loop (the private Engine::Loop, one member function
+//   per phase):
+//       1. shed_timeouts: expire sequences past their deadlines;
+//       2. admit_round: admit newly arrived requests that fit, prefilling
+//          each (prefill runs one sequence at a time, like the
+//          decode-centric continuous-batching servers this models);
+//       3. step: decode ONE token for every active sequence with a single
 //          Transformer::step_batch call — one QKV/output projection GEMM
-//          across the batch, per-sequence fused attention;
-//       3. sample per sequence (greedy + repetition penalty/ban list,
-//          identical to generate());
-//       4. retire finished sequences, freeing budget so waiting requests
+//          across the batch, per-sequence fused attention — then sample
+//          per sequence (greedy + repetition penalty/ban list, identical
+//          to generate());
+//       4. finish: every sequence leaves through one function, which
+//          folds its counters and frees its budget so waiting requests
 //          join mid-stream.
 // The engine clock is the decode-step index; request arrival_step is
 // expressed in it, making staggered-arrival runs deterministic.
@@ -251,18 +254,10 @@ class Engine {
   }
 
  private:
-  /// Prefill + first-token selection for a newly admitted sequence. With
-  /// the prefix cache on: adopt a matching shared chain and prefill only
-  /// the suffix, or chunk the prefill at the shareable boundary and insert
-  /// the prefix chain into the index for the requests behind this one.
-  /// Re-admission of a preempted sequence (seq.tokens non-empty) prefills
-  /// the prompt the same way, then replays the parked tokens through
-  /// single-sequence decode steps — exact recomputation of the evicted
-  /// state. Counters accrue into `stats`, the run's local accumulator.
-  void start_sequence(Sequence& seq, std::size_t now_step, EngineStats& stats);
-  /// Prefix boundary this sequence would index on a miss (block-aligned,
-  /// below the prompt end, at least the index minimum); 0 = don't index.
-  std::size_t insertable_prefix_tokens(const Sequence& seq) const;
+  /// One run() call: its sequences, scheduler, step clock and stats
+  /// accumulator, with one member function per loop phase (engine.cpp).
+  class Loop;
+
   /// Publishes a run's accumulator as the visible stats() snapshot.
   void publish_stats(const EngineStats& stats) KF_EXCLUDES(stats_mu_);
 

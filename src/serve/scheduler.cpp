@@ -206,20 +206,7 @@ void BatchScheduler::preempt(Sequence* seq, std::size_t now_step) {
     throw std::invalid_argument("preempt of a sequence that is not active");
   }
   active_.erase(it);
-  {
-    const LockGuard lock(counters_mu_);
-    tokens_in_use_ -= seq->charged_tokens;
-  }
-  seq->charged_tokens = 0;
-  if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
-    cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
-    {
-      const LockGuard lock(counters_mu_);
-      blocks_in_use_ -= seq->reserved_blocks;
-    }
-    seq->reserved_blocks = 0;
-    seq->shard = Sequence::kNoShard;
-  }
+  uncharge(seq);
   ++seq->preemptions;
   if (ctr_preempted_ != nullptr) ctr_preempted_->add();
   seq->status = SequenceStatus::kWaiting;
@@ -282,26 +269,27 @@ void BatchScheduler::settle(Sequence* seq) {
   }
 }
 
+void BatchScheduler::uncharge(Sequence* seq) {
+  const bool reserved =
+      cfg_.pool != nullptr && seq->shard != Sequence::kNoShard;
+  if (reserved) cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
+  {
+    const LockGuard lock(counters_mu_);
+    tokens_in_use_ -= seq->charged_tokens;
+    if (reserved) blocks_in_use_ -= seq->reserved_blocks;
+  }
+  seq->charged_tokens = 0;
+  seq->reserved_blocks = 0;
+  seq->shard = Sequence::kNoShard;
+}
+
 void BatchScheduler::release(Sequence* seq) {
   const auto it = std::find(active_.begin(), active_.end(), seq);
   if (it == active_.end()) {
     throw std::invalid_argument("release of a sequence that is not active");
   }
   active_.erase(it);
-  {
-    const LockGuard lock(counters_mu_);
-    tokens_in_use_ -= seq->charged_tokens;
-  }
-  seq->charged_tokens = 0;
-  if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
-    cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
-    {
-      const LockGuard lock(counters_mu_);
-      blocks_in_use_ -= seq->reserved_blocks;
-    }
-    seq->reserved_blocks = 0;
-    seq->shard = Sequence::kNoShard;
-  }
+  uncharge(seq);
 }
 
 std::optional<std::size_t> BatchScheduler::next_arrival() const {

@@ -204,6 +204,9 @@ class BatchScheduler {
   /// Placement policy over one candidate shard set; nullopt when none fit.
   std::optional<std::size_t> pick_shard(
       const std::vector<std::size_t>& candidates, std::size_t demand) const;
+  /// Returns an active-set leaver's token charge and block reservation
+  /// (release() and preempt() share it).
+  void uncharge(Sequence* seq);
 
   SchedulerConfig cfg_;
   /// Queue/active-set structure is engine-loop-only (single writer, no

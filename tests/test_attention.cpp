@@ -271,40 +271,6 @@ INSTANTIATE_TEST_SUITE_P(
              to_string(info.param.mode);
     });
 
-TEST(Attention, AppendTimeRotationMatchesPerStepRotation) {
-  // The two RoPE storage contracts (keys pre-rotated at append vs raw keys
-  // re-rotated every step) apply the identical rotation to the identical
-  // floats, so their attention outputs must agree — on both the fused
-  // decode path and the general path.
-  ModelConfig pre = tiny_config(PositionalKind::kRoPE);
-  ModelConfig raw = pre;
-  raw.rope_append_time_rotation = false;
-  const ModelWeights w = build_weights(pre);
-
-  const auto run = [&](const ModelConfig& cfg, bool fast) {
-    ModelConfig c = cfg;
-    c.decode_fast_path = fast;
-    kv::ContiguousKvCache cache(c.n_heads, c.d_head());
-    Tensor x = random_rows(8, c.d_model, 51);
-    attention_forward(c, w.layers[0], x, iota_positions(8), cache);
-    cache.compact(std::vector<std::size_t>{0, 2, 3, 6, 7});
-    Tensor q = random_rows(1, c.d_model, 52);
-    return attention_forward(c, w.layers[0], q, iota_positions(1, 8), cache);
-  };
-
-  const AttentionResult a = run(pre, /*fast=*/true);
-  for (const bool fast : {true, false}) {
-    const AttentionResult b = run(raw, fast);
-    ASSERT_EQ(a.key_len, b.key_len);
-    for (std::size_t i = 0; i < a.logits.size(); ++i) {
-      EXPECT_NEAR(a.logits.span()[i], b.logits.span()[i], 1e-5F);
-    }
-    for (std::size_t i = 0; i < a.context.size(); ++i) {
-      EXPECT_NEAR(a.context.span()[i], b.context.span()[i], 1e-5F);
-    }
-  }
-}
-
 TEST(Attention, DispatchUsesFastPathResult) {
   // attention_forward on a single row must agree with attention_decode
   // exactly (it dispatches to it when decode_fast_path is on), and with

@@ -249,6 +249,46 @@ TEST(PrefixSharing, CallerOwnedPoliciesBypassTheCache) {
   EXPECT_EQ(engine.prefix_index()->stats().insertions, 0u);
 }
 
+TEST(PrefixSharing, ParkedSequenceKeepsItsCowCopies) {
+  // A sequence that adopts a shared chain copies the chain blocks its
+  // eviction rewrites. Parking tears its paged caches down; the copies
+  // they made must still reach EngineStats when the sequence then times
+  // out while parked, never resuming.
+  Transformer model(tiny_config());
+  EngineConfig ec = paged_config(kv::PolicyKind::kKeyformer, true,
+                                 /*n_shards=*/1);
+  // The index keeps the 32-token context (8 blocks); the victim charges 8
+  // more, so the 10-block hog fits only once the victim is parked, and
+  // then holds the pool until long after the victim's deadline.
+  ec.paged.blocks_per_shard = 18;
+  ec.preempt.queue_pressure_steps = 3;
+  ec.preempt.min_victim_age_steps = 2;
+  Engine engine(model, ec);
+  // Run 1 inserts the context, so run 2's victim adopts it at admission.
+  engine.run(shared_context_requests(1, 32));
+
+  auto requests = shared_context_requests(2, 32);
+  Request& victim = requests[0];
+  victim.gen.max_new_tokens = 16;
+  victim.deadline_steps = 10;  // expires while parked
+  // The hog brings its own full-attention policy: it neither takes part
+  // in the prefix cache nor evicts, so it makes no copies of its own.
+  auto hog_policy = kv::make_policy(kv::PolicyKind::kFull);
+  Request& hog = requests[1];
+  hog.prompt = make_tokens(32, 99);
+  hog.gen.max_new_tokens = 8;
+  hog.gen.cache_ratio = 1.0;
+  hog.arrival_step = 4;
+  hog.policy = hog_policy.get();
+
+  const auto responses = engine.run(requests);
+  ASSERT_EQ(responses[0].finish, FinishReason::kTimeout);
+  EXPECT_EQ(responses[0].preemptions, 1u);
+  EXPECT_EQ(responses[1].finish, FinishReason::kLength);
+  EXPECT_EQ(engine.stats().prefix_hits, 1u);
+  EXPECT_GT(engine.stats().prefix_cow_copies, 0u);
+}
+
 TEST(PrefixSharing, StaggeredArrivalsNeverChargeMoreThanUnshared) {
   // With the cache on, later same-context arrivals charge at most their
   // unshared block demand, so the reservation high-water mark can only

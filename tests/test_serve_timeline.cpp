@@ -231,6 +231,26 @@ TEST(ServeTimeline, PreemptThenTimeoutKeepsOrderedStamps) {
   // The survivor is untouched by its neighbor's deadline.
   EXPECT_EQ(responses[1].finish, FinishReason::kLength);
   EXPECT_EQ(responses[1].tokens.size(), 8u);
+  // The victim left from the waiting queue, yet the eviction decisions it
+  // executed before parking still reach the run counters and the
+  // engine-lifetime report: both equal the sums over the Responses.
+  EXPECT_GT(victim.eviction.decisions, 0u);
+  std::uint64_t decisions = 0;
+  std::uint64_t evicted = 0;
+  std::uint64_t kept = 0;
+  for (const Response& r : responses) {
+    decisions += r.eviction.decisions;
+    evicted += r.eviction.tokens_evicted;
+    kept += r.eviction.tokens_kept;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.eviction_decisions, decisions);
+  EXPECT_EQ(stats.evicted_tokens, evicted);
+  EXPECT_EQ(stats.kept_tokens, kept);
+  const kv::EvictionTelemetry report = engine.eviction_report();
+  EXPECT_EQ(report.decisions(), decisions);
+  EXPECT_EQ(report.tokens_evicted(), evicted);
+  EXPECT_EQ(report.tokens_kept(), kept);
 }
 
 /// Fault injector that lets the first `allow` block allocations succeed
