@@ -11,8 +11,8 @@
 //      ~ratio * prompt_len per sequence, so smaller ratios admit larger
 //      batches into the same memory and win aggregate tokens/s — the
 //      compounding effect behind the paper's 2.4x claim;
-//   3. shard scaling (with --shards N) — paged KV memory, sweeping the
-//      pool's shard count 1..N at the largest batch: per-sequence caches
+//   3. shard scaling (with --shards N > 1) — sweeping the paged pool's
+//      shard count 1..N at the largest batch: per-sequence caches
 //      land on separate shards, so allocation/eviction contention and
 //      (on NUMA hosts) memory-domain locality stop serializing decode.
 //      Like sweep 1, this is parallel across sequences — flat on a
@@ -24,10 +24,10 @@
 //                                  [--monitor-period-ms N]
 //                                  [--prom-out FILE] [--timeseries-out FILE]
 //
-// --shards N additionally switches sweeps 1-2 onto the paged allocator so
-// their pool_util / frag columns are live (0 under contiguous caches).
+// Every sweep runs on the paged allocator (--shards N shards, default 1;
+// 0 is a usage error), so the pool_util / frag columns are always live.
 // --csv DIR writes serve_throughput.csv + serve_frontier.csv (+
-// serve_shards.csv with --shards) — the CI artifact recording the
+// serve_shards.csv with --shards N > 1) — the CI artifact recording the
 // serving-throughput trajectory.
 // --monitor-period-ms N attaches a background Monitor thread to every
 // cell's engine run; --prom-out / --timeseries-out write that cell's
@@ -53,7 +53,7 @@ struct Workload {
 };
 
 struct PagedOptions {
-  std::size_t shards = 0;  ///< 0 = contiguous caches
+  std::size_t shards = 1;
   std::size_t block_tokens = 16;
 };
 
@@ -89,11 +89,8 @@ serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = max_tokens;
-  if (po.shards > 0) {
-    ec.paged.enabled = true;
-    ec.paged.n_shards = po.shards;
-    ec.paged.block_tokens = po.block_tokens;
-  }
+  ec.paged.n_shards = po.shards;
+  ec.paged.block_tokens = po.block_tokens;
   serve::Engine engine(m, ec);
   obs::Monitor monitor(
       {.period_ms = static_cast<double>(mo.period_ms)});
@@ -118,8 +115,7 @@ serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
   return engine.stats();
 }
 
-/// Peak pool utilization of one cell (0 under contiguous caches or an
-/// unbounded pool).
+/// Peak pool utilization of one cell (0 on an unbounded pool).
 double pool_util(const serve::EngineStats& stats) {
   return stats.pool_capacity_blocks > 0
              ? static_cast<double>(stats.pool_peak_used_blocks) /
@@ -156,6 +152,10 @@ int main(int argc, char** argv) {
     };
     if (arg == "--shards") {
       po.shards = next_count("--shards");
+      if (po.shards == 0) {
+        std::cerr << "error: --shards must be positive\n";
+        return 1;
+      }
     } else if (arg == "--block-tokens") {
       po.block_tokens = next_count("--block-tokens");
       if (po.block_tokens == 0) {
@@ -194,13 +194,9 @@ int main(int argc, char** argv) {
   std::cout << "serve throughput (gptj-like RoPE, keyformer policy, "
             << wl.n_requests << " requests, prompt " << wl.prompt_len
             << ", gen " << wl.gen_tokens << ", "
-            << ThreadPool::global().size() << " worker threads, "
-            << (po.shards > 0 ? "paged KV: " + std::to_string(po.shards) +
-                                    " shard(s) x " +
-                                    std::to_string(po.block_tokens) +
-                                    "-token blocks"
-                              : std::string("contiguous KV caches"))
-            << ")\n"
+            << ThreadPool::global().size() << " worker threads, paged KV: "
+            << po.shards << " shard(s) x " << po.block_tokens
+            << "-token blocks)\n"
             << "note: batch and shard scaling are parallel across sequences "
                "— on a single-core host those sweeps are expected to be "
                "flat\n\n";
@@ -210,7 +206,7 @@ int main(int argc, char** argv) {
   Table t1("aggregate decode throughput vs batch size (cache_ratio 0.5)");
   std::vector<std::string> h1{"max_batch", "isa", "decode_tok_per_s",
                               "speedup_vs_b1", "steps", "peak_batch",
-                              "peak_kv_tokens", "pool_util", "frag"};
+                              "peak_kv_blocks", "pool_util", "frag"};
   bench::append_latency_columns(h1);
   t1.header(h1);
   double base_tps = 0.0;
@@ -224,7 +220,7 @@ int main(int argc, char** argv) {
         Table::num(base_tps > 0.0 ? tps / base_tps : 0.0, 2) + "x",
         Table::num(static_cast<long long>(stats.steps)),
         Table::num(static_cast<long long>(stats.max_batch)),
-        Table::num(static_cast<long long>(stats.max_tokens_in_use)),
+        Table::num(static_cast<long long>(stats.max_blocks_in_use)),
         Table::num(pool_util(stats), 3),
         Table::num(stats.max_fragmentation, 3)};
     bench::append_latency_cells(row, stats);
@@ -245,7 +241,7 @@ int main(int argc, char** argv) {
            " tokens): cache_ratio buys batch size");
   std::vector<std::string> h2{"cache_ratio", "isa", "achieved_batch",
                               "decode_tok_per_s", "speedup_vs_full",
-                              "peak_kv_tokens", "pool_util", "frag"};
+                              "peak_kv_blocks", "pool_util", "frag"};
   bench::append_latency_columns(h2);
   t2.header(h2);
   double full_tps = 0.0;
@@ -259,7 +255,7 @@ int main(int argc, char** argv) {
         Table::num(static_cast<long long>(stats.max_batch)),
         Table::num(tps, 1),
         Table::num(full_tps > 0.0 ? tps / full_tps : 0.0, 2) + "x",
-        Table::num(static_cast<long long>(stats.max_tokens_in_use)),
+        Table::num(static_cast<long long>(stats.max_blocks_in_use)),
         Table::num(pool_util(stats), 3),
         Table::num(stats.max_fragmentation, 3)};
     bench::append_latency_cells(row, stats);
@@ -268,8 +264,8 @@ int main(int argc, char** argv) {
   t2.print(std::cout);
   bench::maybe_write_csv(opt, t2, "serve_frontier");
 
-  // Sweep 3: shard scaling — paged pool, shard count 1..N, biggest batch.
-  if (po.shards > 0) {
+  // Sweep 3: shard scaling — shard count 1..N, biggest batch.
+  if (po.shards > 1) {
     std::cout << '\n';
     Table t3("aggregate decode throughput vs pool shard count (batch " +
              std::to_string(batches.back()) + ", cache_ratio 0.5)");
@@ -304,7 +300,7 @@ int main(int argc, char** argv) {
                "weights; sweep 2 holds KV memory fixed and shows a reduced "
                "cache ratio converting freed memory into batch size and "
                "throughput — the measured form of Table 1's bigger-batch "
-               "row. With --shards, sweep 3 spreads the paged sequences "
+               "row. With --shards N > 1, sweep 3 spreads the sequences "
                "over more pool shards; pool_util is peak used blocks over "
                "capacity and frag is the worst-step share of block-resident "
                "token slots holding no live token.\n";

@@ -14,15 +14,14 @@
 //     --max-batch N       max concurrent sequences (default 4)
 //     --kv-budget N       scheduler memory budget in per-layer tokens;
 //                         0 = unlimited (default 600)
-//     --shards N          enable paged KV memory on an N-shard block pool
-//                         (default 0 = classic contiguous caches)
-//     --block-tokens N    tokens per pool block (default 16; paged only)
+//     --shards N          shards of the paged KV block pool (default 1;
+//                         must be positive)
+//     --block-tokens N    tokens per pool block (default 16)
 //     --shared-prefix N   switch to a shared-context workload: every
 //                         request opens with the same ~N-token few-shot
 //                         context (from src/data/fewshot) and the engine's
 //                         prefix cache replays it instead of re-prefilling
-//                         (requires --shards; prints hit-rate / blocks-
-//                         saved summary)
+//                         (prints hit-rate / blocks-saved summary)
 //     --trace FILE        record engine/kernel spans and write a Chrome
 //                         trace-event JSON to FILE (open in Perfetto or
 //                         chrome://tracing)
@@ -40,10 +39,10 @@
 //                         JSON to FILE (implies a 5 ms monitor period
 //                         when --monitor-period-ms is not given)
 //
-// With --shards the budget stops being an abstract token count: admission
-// reserves real blocks on a shard, and the summary reports pool
-// utilization and internal fragmentation. With --shared-prefix it also
-// becomes a multi-tenant cache: one copy of the shared context's KV
+// The budget is enforced as real block reservations on a shard of the
+// pool, and the summary reports pool utilization and internal
+// fragmentation. With --shared-prefix the pool also becomes a
+// multi-tenant cache: one copy of the shared context's KV
 // backs every request that carries it, copy-on-write under eviction.
 #include <algorithm>
 #include <cstdlib>
@@ -119,7 +118,7 @@ std::size_t parse_count_arg(const char* arg, const char* name) {
 int main(int argc, char** argv) {
   std::size_t max_batch = 4;
   std::size_t kv_budget = 600;
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   std::size_t block_tokens = 16;
   std::size_t shared_prefix = 0;
   std::string trace_path;
@@ -140,6 +139,7 @@ int main(int argc, char** argv) {
       kv_budget = parse_count_arg(next("--kv-budget"), "--kv-budget");
     } else if (arg == "--shards") {
       shards = parse_count_arg(next("--shards"), "--shards");
+      if (shards == 0) usage_exit("--shards must be positive");
     } else if (arg == "--block-tokens") {
       block_tokens = parse_count_arg(next("--block-tokens"), "--block-tokens");
       if (block_tokens == 0) usage_exit("--block-tokens must be positive");
@@ -178,11 +178,6 @@ int main(int argc, char** argv) {
       usage_exit("unknown argument \"" + arg + "\"");
     }
   }
-  if (shared_prefix > 0 && shards == 0) {
-    usage_exit("--shared-prefix requires --shards (the prefix cache shares "
-               "pool blocks)");
-  }
-
   // Which kernel variants this run dispatches to (detected ISA, active
   // choice, any KF_CPU_ISA override) — printed once so logs are
   // comparable across hosts.
@@ -224,11 +219,8 @@ int main(int argc, char** argv) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = kv_budget;
-  if (shards > 0) {
-    ec.paged.enabled = true;
-    ec.paged.n_shards = shards;
-    ec.paged.block_tokens = block_tokens;
-  }
+  ec.paged.n_shards = shards;
+  ec.paged.block_tokens = block_tokens;
   if (shared_prefix > 0) ec.prefix.enabled = true;
   serve::Engine engine(m, ec);
 
@@ -237,12 +229,8 @@ int main(int argc, char** argv) {
             << ", kv budget "
             << (kv_budget == 0 ? std::string("unlimited")
                                : std::to_string(kv_budget) + " tokens")
-            << ", keyformer @50% cache, "
-            << (shards > 0 ? "paged: " + std::to_string(shards) +
-                                 " shard(s) x " +
-                                 std::to_string(block_tokens) +
-                                 "-token blocks"
-                           : std::string("contiguous caches"))
+            << ", keyformer @50% cache, " << shards << " shard(s) x "
+            << block_tokens << "-token blocks"
             << (shared_prefix > 0
                     ? ", shared " +
                           std::to_string(requests[0].shared_prefix_hint) +
@@ -319,23 +307,21 @@ int main(int argc, char** argv) {
               << " emergency alloc fallback(s)\n";
   }
   std::cout << "engine: " << st.steps << " decode steps, peak batch "
-            << st.max_batch << ", peak KV in use " << st.max_tokens_in_use
-            << " tokens, aggregate decode throughput "
+            << st.max_batch << ", peak KV reserved " << st.max_blocks_in_use
+            << " blocks, aggregate decode throughput "
             << Table::num(st.decode_tokens_per_s(), 1) << " tok/s (isa "
             << st.isa << ")\n";
-  if (shards > 0) {
-    const double util =
-        st.pool_capacity_blocks > 0
-            ? static_cast<double>(st.pool_peak_used_blocks) /
-                  static_cast<double>(st.pool_capacity_blocks)
-            : 0.0;
-    std::cout << "pool: " << st.pool_peak_used_blocks << " peak used / "
-              << st.pool_capacity_blocks << " capacity blocks ("
-              << Table::num(100.0 * util, 1) << "% peak utilization), peak "
-              << st.max_blocks_in_use << " blocks reserved, worst internal "
-              << "fragmentation " << Table::num(100.0 * st.max_fragmentation, 1)
-              << "%\n";
-  }
+  const double util =
+      st.pool_capacity_blocks > 0
+          ? static_cast<double>(st.pool_peak_used_blocks) /
+                static_cast<double>(st.pool_capacity_blocks)
+          : 0.0;
+  std::cout << "pool: " << st.pool_peak_used_blocks << " peak used / "
+            << st.pool_capacity_blocks << " capacity blocks ("
+            << Table::num(100.0 * util, 1) << "% peak utilization), peak "
+            << st.max_blocks_in_use << " blocks reserved, worst internal "
+            << "fragmentation " << Table::num(100.0 * st.max_fragmentation, 1)
+            << "%\n";
   if (shared_prefix > 0) {
     const std::size_t total_prompt =
         st.prefilled_tokens + st.prefix_tokens_reused;
@@ -494,8 +480,8 @@ int main(int argc, char** argv) {
                "when the batch or the KV-memory budget is full, and join "
                "mid-stream as earlier sequences retire. Lowering the cache "
                "ratio shrinks each sequence's footprint, admitting more of "
-               "them at once (see bench_serve_throughput). With --shards the "
-               "budget is enforced as whole-block reservations on a real "
-               "pool, so fragmentation and placement become visible above.\n";
+               "them at once (see bench_serve_throughput). The budget is "
+               "enforced as whole-block reservations on a real pool, so "
+               "fragmentation and placement are visible above.\n";
   return 0;
 }

@@ -33,7 +33,12 @@ Checks (each failure lists file and reason; exit code 1 on any):
   7. no KF_TRACE_SCOPE / KF_TRACE_INSTANT in the per-ISA variant TUs
      (src/cpu/kernels_avx2.cpp, kernels_avx512.cpp) -- the innermost SIMD
      loops must stay branch-free of tracing; kernel time reaches the
-     tracer through the AttentionTimings / PolicyTimings sinks instead.
+     tracer through the AttentionTimings / PolicyTimings sinks instead;
+  8. one KV path in the serving layer -- src/serve/ never calls
+     make_kv_state / default_kv_state nor names ContiguousKvCache: the
+     engine stores KV only in paged caches on its BlockPool, and the
+     contiguous cache stays the independent reference model::generate()
+     runs on.
 """
 
 from __future__ import annotations
@@ -243,6 +248,27 @@ def check_no_tracing_in_isa_variants() -> list[str]:
     return errors
 
 
+def check_serve_pages_only() -> list[str]:
+    """The serving layer never builds a contiguous KV cache: paged memory
+    is the engine's only storage path."""
+    banned = re.compile(
+        r"\b(make_kv_state|default_kv_state|ContiguousKvCache)\b")
+    errors = []
+    for path in sorted((REPO / "src" / "serve").rglob("*")):
+        if path.suffix not in (".h", ".cpp"):
+            continue
+        text = _strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            match = banned.search(line)
+            if match:
+                errors.append(
+                    f"{path.relative_to(REPO)}:{lineno}: {match.group(1)} in "
+                    "src/serve (the engine stores KV only in paged caches on "
+                    "its BlockPool)"
+                )
+    return errors
+
+
 def main() -> int:
     checks = [
         ("test registration", check_test_registration),
@@ -252,6 +278,7 @@ def main() -> int:
         ("no throw in request paths", check_no_throw_in_request_paths),
         ("SIMD variants behind dispatch", check_simd_variants_behind_dispatch),
         ("no tracing in ISA variant TUs", check_no_tracing_in_isa_variants),
+        ("src/serve pages only", check_serve_pages_only),
     ]
     failed = False
     for name, check in checks:

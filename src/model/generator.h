@@ -66,9 +66,10 @@ struct GenerationResult {
 
 /// Greedy generation under `policy`. Resets the model's caches, derives the
 /// budget from `cfg.cache_ratio`, runs prefill + max_new_tokens decode
-/// steps (or until eos). Deterministic. Implemented as a batch-of-one
-/// serve::Engine run against the model's default KV state — token-for-token
-/// identical to the classic single-sequence loop.
+/// steps (or until eos). Deterministic. The direct single-sequence loop on
+/// the model's contiguous default KV state (inspectable after the call):
+/// the independent reference serve::Engine's paged batches are checked
+/// against token for token.
 GenerationResult generate(Transformer& model, std::span<const Token> prompt,
                           kv::EvictionPolicy& policy,
                           const GenerationConfig& cfg);

@@ -16,18 +16,64 @@ namespace kf::serve {
 
 using obs::TimelineEventKind;
 
+namespace {
+
+/// The engine's pool geometry and capacity. Paging is the only storage:
+/// a config asking to switch it off is refused.
+mem::BlockPoolConfig pool_config(const model::ModelConfig& mc,
+                                 const EngineConfig& cfg,
+                                 obs::MetricsRegistry& metrics) {
+  if (!cfg.paged.enabled) {
+    throw std::invalid_argument(
+        "paged KV is the engine's only storage; PagedMemoryConfig::enabled "
+        "must stay true");
+  }
+  if (cfg.paged.n_shards == 0 || cfg.paged.block_tokens == 0) {
+    throw std::invalid_argument(
+        "paged memory requires n_shards > 0 and block_tokens > 0");
+  }
+  mem::BlockPoolConfig pc;
+  pc.n_shards = cfg.paged.n_shards;
+  pc.block_tokens = cfg.paged.block_tokens;
+  pc.n_heads = mc.n_heads;
+  pc.d_head = mc.d_head();
+  pc.blocks_per_shard = cfg.paged.blocks_per_shard;
+  pc.metrics = &metrics;
+  const std::size_t budget_tokens = cfg.scheduler.max_concurrent_tokens;
+  if (pc.blocks_per_shard == 0 && budget_tokens > 0) {
+    // Translate the token budget into physical capacity: the budget is
+    // per-layer tokens across the active set, so the pool holds n_layers
+    // times its block equivalent, split across shards. A bounded prefix
+    // cache rides on top, so caching prefixes never eats into the
+    // admission capacity the budget promised. Both 0: unbounded.
+    const std::size_t budget_blocks =
+        mc.n_layers *
+            ((budget_tokens + pc.block_tokens - 1) / pc.block_tokens) +
+        (cfg.prefix.enabled ? cfg.prefix.max_blocks : 0);
+    pc.blocks_per_shard = (budget_blocks + pc.n_shards - 1) / pc.n_shards;
+  }
+  return pc;
+}
+
+/// The paged view of a layer cache — the engine's one downcast, for the
+/// block counters and the alloc-failure latch. Every state the engine
+/// runs is one it built on its pool, so the cast always holds.
+const mem::PagedKvCache& paged_layer(const kv::SequenceKvState& kv,
+                                     std::size_t l) {
+  return static_cast<const mem::PagedKvCache&>(kv.layer(l));
+}
+
+}  // namespace
+
 Engine::Engine(model::Transformer& model, EngineConfig cfg)
     : model_(model),
       cfg_(std::move(cfg)),
       hist_ttft_(metrics_.histogram("serve.ttft_seconds")),
       hist_inter_token_(metrics_.histogram("serve.inter_token_seconds")),
       hist_queue_wait_(metrics_.histogram("serve.queue_wait_seconds")),
-      hist_step_(metrics_.histogram("serve.step_seconds")) {
+      hist_step_(metrics_.histogram("serve.step_seconds")),
+      pool_(pool_config(model_.config(), cfg_, metrics_)) {
   cfg_.scheduler.metrics = &metrics_;
-  if (cfg_.prefix.enabled && !cfg_.paged.enabled) {
-    throw std::invalid_argument(
-        "the prefix cache shares pool blocks; enable paged memory");
-  }
   if (cfg_.prefix.enabled) {
     // The bit-exactness contract of prefix adoption (shared-prefix decode
     // identical to unshared) relies on score accumulation decomposing at
@@ -44,44 +90,13 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
           "the prefix cache requires damping == 1.0 (prefix-boundary score "
           "snapshots do not compose with exponential damping)");
     }
-  }
-  if (cfg_.paged.enabled) {
-    if (cfg_.paged.n_shards == 0 || cfg_.paged.block_tokens == 0) {
-      throw std::invalid_argument(
-          "paged memory requires n_shards > 0 and block_tokens > 0");
-    }
-    mem::BlockPoolConfig pc;
-    pc.n_shards = cfg_.paged.n_shards;
-    pc.block_tokens = cfg_.paged.block_tokens;
-    pc.n_heads = model_.config().n_heads;
-    pc.d_head = model_.config().d_head();
-    pc.blocks_per_shard = cfg_.paged.blocks_per_shard;
-    pc.metrics = &metrics_;
-    if (pc.blocks_per_shard == 0 && cfg_.scheduler.max_concurrent_tokens > 0) {
-      // Translate the abstract token budget into physical capacity: the
-      // budget is per-layer tokens across the active set, so the pool
-      // holds n_layers times its block equivalent, split across shards.
-      // A bounded prefix cache rides on top, so caching prefixes never
-      // eats into the admission capacity the budget promised.
-      const std::size_t budget_blocks =
-          model_.config().n_layers *
-              ((cfg_.scheduler.max_concurrent_tokens + pc.block_tokens - 1) /
-               pc.block_tokens) +
-          (cfg_.prefix.enabled ? cfg_.prefix.max_blocks : 0);
-      pc.blocks_per_shard =
-          (budget_blocks + pc.n_shards - 1) / pc.n_shards;
-    }
-    pool_ = std::make_unique<mem::BlockPool>(pc);
-    cfg_.scheduler.pool = pool_.get();
-    if (cfg_.prefix.enabled) {
-      mem::PrefixIndexConfig ic;
-      ic.n_layers = model_.config().n_layers;
-      ic.max_blocks = cfg_.prefix.max_blocks;
-      ic.min_tokens = cfg_.prefix.min_tokens;
-      ic.metrics = &metrics_;
-      prefix_index_ = std::make_unique<mem::PrefixIndex>(*pool_, ic);
-      cfg_.scheduler.prefix_index = prefix_index_.get();
-    }
+    mem::PrefixIndexConfig ic;
+    ic.n_layers = model_.config().n_layers;
+    ic.max_blocks = cfg_.prefix.max_blocks;
+    ic.min_tokens = cfg_.prefix.min_tokens;
+    ic.metrics = &metrics_;
+    prefix_index_ = std::make_unique<mem::PrefixIndex>(pool_, ic);
+    cfg_.scheduler.prefix_index = prefix_index_.get();
   }
 }
 
@@ -104,17 +119,6 @@ void Engine::publish_stats(const EngineStats& stats) {
   const LockGuard lock(stats_mu_);
   stats_ = snap;
 }
-
-namespace {
-
-/// The paged view of a layer cache (null for a contiguous one) — the
-/// engine's one downcast, for the paged counters and alloc-failure latch.
-const mem::PagedKvCache* paged_layer(const kv::SequenceKvState& kv,
-                                     std::size_t l) {
-  return dynamic_cast<const mem::PagedKvCache*>(&kv.layer(l));
-}
-
-}  // namespace
 
 class Engine::Loop {
  public:
@@ -143,8 +147,7 @@ class Engine::Loop {
   std::vector<Response> responses();
 
  private:
-  const char* containment_error(const Request& req) const;
-  void reject_shared_state();
+  void reject_shared_policies();
   void admit(Sequence& seq);
   void start_sequence(Sequence& seq);
   std::size_t insertable_prefix_tokens(const Sequence& seq) const;
@@ -166,7 +169,7 @@ class Engine::Loop {
 
   Engine& engine_;
   model::Transformer& model_;
-  mem::BlockPool* const pool_;
+  mem::BlockPool& pool_;
   mem::PrefixIndex* const index_;
   const bool tracing_;
   /// Attention kernel timings, installed on the model while tracing; each
@@ -185,16 +188,14 @@ class Engine::Loop {
 Engine::Loop::Loop(Engine& engine, std::span<const Request> requests)
     : engine_(engine),
       model_(engine.model_),
-      pool_(engine.pool_.get()),
+      pool_(engine.pool_),
       index_(engine.prefix_index_.get()),
       tracing_(obs::trace_enabled()),
-      sched_(engine.cfg_.scheduler) {
+      sched_(engine.pool_, engine.cfg_.scheduler) {
   stats_.isa = cpu::isa_name(cpu::active_isa());
   engine_.publish_stats(stats_);
-  if (pool_ != nullptr) {
-    pool_->reset_peaks();
-    stats_.pool_capacity_blocks = pool_->stats().capacity_blocks;
-  }
+  pool_.reset_peaks();
+  stats_.pool_capacity_blocks = pool_.stats().capacity_blocks;
   const model::ModelConfig& mc = model_.config();
   for (const Request& req : requests) {
     Sequence& s = seqs_.emplace_back();
@@ -225,21 +226,14 @@ Engine::Loop::Loop(Engine& engine, std::span<const Request> requests)
     s.shared_prefix_hint = req.shared_prefix_hint;
     // Containment: an invalid request becomes a kRejected Response with
     // an error string instead of an exception killing the whole batch.
-    if (const char* why = containment_error(req)) {
-      finish(s, FinishReason::kRejected, why);
-    } else if (req.kv_state != nullptr) {
-      s.kv = req.kv_state;
-    } else if (pool_ == nullptr) {
-      // Size the arenas for the admission peak max(prompt, k+1) — the
-      // most this sequence ever holds per layer — so prefill appends
-      // never reallocate. Paged sequences get their state at admission,
-      // once the scheduler has placed them on a shard.
-      s.owned_kv = std::make_unique<kv::SequenceKvState>(
-          model_.make_kv_state(s.admission_cost_tokens()));
-      s.kv = s.owned_kv.get();
+    // KV state is built at admission, once the scheduler has placed the
+    // sequence on a shard.
+    if (req.prompt.empty()) {
+      finish(s, FinishReason::kRejected,
+             "serve request requires a non-empty prompt");
     }
   }
-  reject_shared_state();
+  reject_shared_policies();
 
   // Submit the survivors in arrival order (stable: ties keep request
   // order).
@@ -261,37 +255,16 @@ Engine::Loop::~Loop() {
   if (tracing_) model_.set_attention_timings(nullptr);
 }
 
-const char* Engine::Loop::containment_error(const Request& req) const {
-  if (req.prompt.empty()) return "serve request requires a non-empty prompt";
-  if (req.kv_state == nullptr) return nullptr;
-  // Placement decides the shard at admission; a pre-built external state
-  // would bypass the pool's accounting entirely.
-  if (pool_ != nullptr) {
-    return "paged memory mode cannot take external kv_state instances";
-  }
-  const model::ModelConfig& mc = model_.config();
-  if (!req.kv_state->matches(mc.n_layers, mc.n_heads, mc.d_head())) {
-    return "external kv_state geometry does not match the model";
-  }
-  return nullptr;
-}
-
-void Engine::Loop::reject_shared_state() {
-  // First request keeps the instance: two requests on one kv_state (or
-  // one policy instance) would clobber each other's caches/score state,
-  // and step_batch's own distinctness check only fires mid-run when their
-  // lifetimes happen to overlap — long after start_sequence() wiped the
-  // other request's in-flight caches.
-  std::unordered_set<const void*> kv_seen;
+void Engine::Loop::reject_shared_policies() {
+  // First request keeps the instance: two requests on one policy instance
+  // would clobber each other's score state, and step_batch's own
+  // distinctness check only fires mid-run when their lifetimes happen to
+  // overlap — long after begin_sequence() wiped the other request's
+  // in-flight state.
   std::unordered_set<const void*> policy_seen;
   for (Sequence& s : seqs_) {
-    if (s.finished()) continue;
-    if (s.kv != nullptr && s.owned_kv == nullptr &&
-        !kv_seen.insert(s.kv).second) {
-      finish(s, FinishReason::kRejected,
-             "serve requests must use distinct kv_state instances");
-    } else if (s.owned_policy == nullptr &&
-               !policy_seen.insert(s.policy).second) {
+    if (s.finished() || s.owned_policy != nullptr) continue;
+    if (!policy_seen.insert(s.policy).second) {
       finish(s, FinishReason::kRejected,
              "serve requests must use distinct policy instances");
     }
@@ -364,15 +337,12 @@ void Engine::Loop::admit(Sequence& seq) {
   }
   if (tracing_) seq.policy->set_timing_sink(&seq.policy_timings);
   seq.policy->set_eviction_sink(&seq.eviction);
-  if (pool_ != nullptr) {
-    // Materialize the placement decision: layer caches drawing blocks
-    // from the shard the scheduler just reserved on.
-    seq.owned_kv = std::make_unique<kv::SequenceKvState>(
-        *pool_, seq.shard, model_.config().n_layers);
-    seq.kv = seq.owned_kv.get();
-  }
+  // Materialize the placement decision: layer caches drawing blocks from
+  // the shard the scheduler just reserved on.
+  seq.kv = std::make_unique<kv::SequenceKvState>(pool_, seq.shard,
+                                                 model_.config().n_layers);
   // The admission charge covers the transient prefill peak; record it
-  // before settling so max_tokens_in_use reflects true memory.
+  // before settling so max_blocks_in_use reflects true memory.
   record_peaks();
   start_sequence(seq);
   if (!seq.finished() && kv_alloc_failed(seq)) {
@@ -392,7 +362,7 @@ void Engine::Loop::admit(Sequence& seq) {
 }
 
 std::size_t Engine::Loop::insertable_prefix_tokens(const Sequence& seq) const {
-  const std::size_t bt = pool_->block_tokens();
+  const std::size_t bt = pool_.block_tokens();
   // At least one prompt token must stay outside the prefix: the first
   // generated token comes from the last prompt row's logits, which must be
   // computed, not replayed.
@@ -424,7 +394,6 @@ void Engine::Loop::start_sequence(Sequence& seq) {
   info.n_heads = model_.config().n_heads;
   seq.policy->begin_sequence(info);
 
-  seq.kv->clear();
   const double t0 = now_seconds();
   if (resume) seq.timeline.mark(TimelineEventKind::kResumed, t0);
   seq.timeline.mark(TimelineEventKind::kPrefillStart, t0);
@@ -603,8 +572,6 @@ bool Engine::Loop::pressure_preempt() {
 }
 
 void Engine::Loop::record_peaks() {
-  stats_.max_tokens_in_use =
-      std::max(stats_.max_tokens_in_use, sched_.tokens_in_use());
   stats_.max_blocks_in_use =
       std::max(stats_.max_blocks_in_use, sched_.blocks_in_use());
 }
@@ -616,22 +583,28 @@ void Engine::Loop::record_occupancy(std::span<Sequence* const> active) {
   stats_.active_sequences = active.size();
   stats_.waiting_sequences = sched_.waiting().size();
   record_peaks();
-  if (pool_ == nullptr) return;
-  // Internal fragmentation this step: tokens actually cached vs the
-  // whole-block token slots holding them. The prefix index's retained
-  // chains are excluded — they are deliberate caching, not slack (an
-  // adopted chain is double-discounted here, so the measure clamps).
+  // Internal fragmentation this step: the empty slots of every active
+  // cache's partial tail block, over the token slots of the used blocks.
+  // The prefix index's retained chains are excluded — they are deliberate
+  // caching, not slack. Adopted chains are whole blocks, so sharing adds
+  // no slack and nothing is counted twice.
+  const std::size_t bt = pool_.block_tokens();
   const std::size_t index_blocks =
       index_ != nullptr ? index_->blocks_held() : 0;
-  const std::size_t used = pool_->stats().used_blocks;
+  const std::size_t used = pool_.stats().used_blocks;
   const std::size_t used_tokens =
-      (used > index_blocks ? used - index_blocks : 0) * pool_->block_tokens();
+      (used > index_blocks ? used - index_blocks : 0) * bt;
   if (used_tokens == 0) return;
-  std::size_t live = 0;
-  for (const Sequence* seq : active) live += seq->kv->total_tokens();
-  const double frag =
-      std::max(0.0, 1.0 - static_cast<double>(live) /
-                              static_cast<double>(used_tokens));
+  std::size_t slack = 0;
+  for (const Sequence* seq : active) {
+    for (std::size_t l = 0; l < seq->kv->n_layers(); ++l) {
+      const mem::PagedKvCache& cache = paged_layer(*seq->kv, l);
+      slack += cache.blocks_held() * bt - cache.size();
+    }
+  }
+  const std::size_t filled = used_tokens - std::min(slack, used_tokens);
+  const double frag = 1.0 - static_cast<double>(filled) /
+                                static_cast<double>(used_tokens);
   stats_.cur_fragmentation = frag;
   stats_.max_fragmentation = std::max(stats_.max_fragmentation, frag);
 }
@@ -649,7 +622,7 @@ void Engine::Loop::step() {
   slots_.clear();
   for (const Sequence* seq : active) {
     slots_.push_back({seq->feed_token(), seq->next_position(),
-                      seq->next_t(), seq->gen.max_new_tokens, seq->kv,
+                      seq->next_t(), seq->gen.max_new_tokens, seq->kv.get(),
                       seq->policy});
   }
   // Kernel-sink baselines, so the step's own project/attend/policy time
@@ -743,10 +716,6 @@ void Engine::Loop::park(Sequence& seq) {
   if (tracing_) seq.policy->set_timing_sink(nullptr);
   seq.policy->set_eviction_sink(nullptr);
   drop_kv(seq);
-  // Token mode: the arena stays with the sequence (it is re-sized state,
-  // not shared capacity); dropping the rows releases the abstract budget
-  // the scheduler uncharges below.
-  if (seq.kv != nullptr) seq.kv->clear();
   sched_.preempt(&seq, step_);
   ++stats_.preemptions;
 }
@@ -823,21 +792,16 @@ void Engine::Loop::unpin(Sequence& seq) {
   seq.prefix_blocks_per_layer = 0;
 }
 
-// Paged mode only: folds the layer caches' counters into the run stats,
-// then tears the state down so its blocks go back to the shard free list
-// *now*, while the reservation the scheduler is about to release still
-// backs them. Contiguous states stay alive: external kv_state callers
-// (generate() among them) inspect them after the run.
+// Folds the layer caches' counters into the run stats, then tears the
+// state down so its blocks go back to the shard free list *now*, while the
+// reservation the scheduler is about to release still backs them.
 void Engine::Loop::drop_kv(Sequence& seq) {
-  if (pool_ == nullptr || seq.kv == nullptr) return;
   for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-    if (const mem::PagedKvCache* paged = paged_layer(*seq.kv, l)) {
-      stats_.prefix_cow_copies += paged->cow_copies();
-      stats_.alloc_failures += paged->alloc_failures();
-    }
+    const mem::PagedKvCache& cache = paged_layer(*seq.kv, l);
+    stats_.prefix_cow_copies += cache.cow_copies();
+    stats_.alloc_failures += cache.alloc_failures();
   }
-  seq.owned_kv.reset();
-  seq.kv = nullptr;
+  seq.kv.reset();
 }
 
 // Did any layer outgrow its reservation into emergency heap memory?
@@ -845,18 +809,14 @@ void Engine::Loop::drop_kv(Sequence& seq) {
 // boundary (an exception escaping the parallel decode workers would
 // terminate the process).
 bool Engine::Loop::kv_alloc_failed(const Sequence& seq) const {
-  if (pool_ == nullptr || seq.kv == nullptr) return false;
   for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-    const mem::PagedKvCache* paged = paged_layer(*seq.kv, l);
-    if (paged != nullptr && paged->alloc_failed()) return true;
+    if (paged_layer(*seq.kv, l).alloc_failed()) return true;
   }
   return false;
 }
 
 std::vector<Response> Engine::Loop::responses() {
-  if (pool_ != nullptr) {
-    stats_.pool_peak_used_blocks = pool_->stats().peak_used_blocks;
-  }
+  stats_.pool_peak_used_blocks = pool_.stats().peak_used_blocks;
   stats_.reservation_retries = sched_.reservation_retries();
   stats_.active_sequences = 0;  // run drained: occupancy series settles to 0
   stats_.waiting_sequences = 0;
@@ -924,17 +884,15 @@ void add_engine_probes(obs::Monitor& monitor, Engine& engine) {
   monitor.add_probe("engine.evicted_tokens", [e] {
     return static_cast<double>(e->stats().evicted_tokens);
   });
-  if (engine.pool() != nullptr) {
-    const mem::BlockPool* pool = engine.pool();
-    monitor.add_probe("pool.used_blocks", [pool] {
-      return static_cast<double>(pool->stats().used_blocks);
-    });
-    monitor.add_probe("pool.reserved_blocks", [pool] {
-      return static_cast<double>(pool->stats().reserved_blocks);
-    });
-    monitor.add_probe("pool.fragmentation",
-                      [e] { return e->stats().cur_fragmentation; });
-  }
+  const mem::BlockPool* pool = &engine.pool();
+  monitor.add_probe("pool.used_blocks", [pool] {
+    return static_cast<double>(pool->stats().used_blocks);
+  });
+  monitor.add_probe("pool.reserved_blocks", [pool] {
+    return static_cast<double>(pool->stats().reserved_blocks);
+  });
+  monitor.add_probe("pool.fragmentation",
+                    [e] { return e->stats().cur_fragmentation; });
   if (engine.prefix_index() != nullptr) {
     monitor.add_probe("prefix.hit_rate",
                       [e] { return e->stats().prefix_hit_rate(); });
@@ -948,40 +906,3 @@ void add_engine_probes(obs::Monitor& monitor, Engine& engine) {
 }
 
 }  // namespace kf::serve
-
-namespace kf::model {
-
-// Declared in model/generator.h; defined here so the model layer never
-// depends on serve/ headers (the wrapper lives with the engine it wraps).
-GenerationResult generate(Transformer& model, std::span<const Token> prompt,
-                          kv::EvictionPolicy& policy,
-                          const GenerationConfig& cfg) {
-  if (prompt.empty()) {
-    throw std::invalid_argument("generate requires a non-empty prompt");
-  }
-  // Batch of one through the serving engine: same prefill/decode calls,
-  // same sampling, same budget derivation as the classic loop. The model's
-  // default KV state is passed through — cleared by start_sequence like any
-  // other state — so callers that inspect the caches after generation keep
-  // seeing the sequence's final state.
-  serve::Engine engine(model, serve::EngineConfig{});
-  serve::Request req;
-  req.prompt.assign(prompt.begin(), prompt.end());
-  req.gen = cfg;
-  req.policy = &policy;
-  req.kv_state = &model.default_kv_state();
-  auto responses = engine.run({&req, 1});
-  serve::Response& r = responses.front();
-
-  GenerationResult result;
-  result.tokens = std::move(r.tokens);
-  result.prompt_len = r.prompt_len;
-  result.budget = r.budget;
-  result.final_cache_sizes = std::move(r.final_cache_sizes);
-  result.peak_cache_tokens = r.peak_cache_tokens;
-  result.prefill_seconds = r.prefill_seconds;
-  result.decode_seconds = r.decode_seconds;
-  return result;
-}
-
-}  // namespace kf::model

@@ -2,10 +2,10 @@
 // requests over one shared model.
 //
 // Structure (the Table 1 serving stack):
-//   Request --> Sequence (own KV caches + own policy instance + sampling
-//   state) --> BatchScheduler (admission under a batch-size and KV-memory
-//   budget) --> Engine loop (the private Engine::Loop, one member function
-//   per phase):
+//   Request --> Sequence (own paged KV caches + own policy instance +
+//   sampling state) --> BatchScheduler (admission under a batch-size cap
+//   and real block reservations on the engine's BlockPool) --> Engine loop
+//   (the private Engine::Loop, one member function per phase):
 //       1. shed_timeouts: expire sequences past their deadlines;
 //       2. admit_round: admit newly arrived requests that fit, prefilling
 //          each (prefill runs one sequence at a time, like the
@@ -16,13 +16,15 @@
 //          per sequence (greedy + repetition penalty/ban list, identical
 //          to generate());
 //       4. finish: every sequence leaves through one function, which
-//          folds its counters and frees its budget so waiting requests
+//          folds its counters and returns its blocks so waiting requests
 //          join mid-stream.
 // The engine clock is the decode-step index; request arrival_step is
 // expressed in it, making staggered-arrival runs deterministic.
 //
-// generate() is a batch-of-one client of this engine and remains
-// token-for-token identical to the pre-engine loop.
+// KV memory is always paged: the pool is the engine's only storage and a
+// block reservation its only budget. model::generate() is the independent
+// reference — the direct prefill/decode loop on the model's contiguous
+// default state — and every request's token stream is identical to it.
 #pragma once
 
 #include <cstddef>
@@ -48,9 +50,12 @@ namespace kf::serve {
 
 /// Paged KV memory: the engine owns a sharded mem::BlockPool, sequences
 /// get PagedKvCache layers placed on a shard at admission, and the
-/// scheduler's budget becomes a real block reservation (see scheduler.h).
+/// scheduler's budget is a real block reservation (see scheduler.h).
 struct PagedMemoryConfig {
-  bool enabled = false;
+  /// Must stay true (the Engine constructor rejects false): paging is the
+  /// engine's only storage. Kept only so existing configurations that set
+  /// it still compile.
+  bool enabled = true;
   std::size_t n_shards = 1;
   std::size_t block_tokens = 16;
   /// Hard per-shard cap; 0 derives it from the scheduler token budget
@@ -59,9 +64,9 @@ struct PagedMemoryConfig {
   std::size_t blocks_per_shard = 0;
 };
 
-/// Cross-request prefix cache (requires paged memory): prompts sharing a
-/// block-aligned prefix adopt one immutable block chain per layer instead
-/// of re-prefilling it, copy-on-write when eviction mutates a block. The
+/// Cross-request prefix cache: prompts sharing a block-aligned prefix
+/// adopt one immutable block chain per layer instead of re-prefilling it,
+/// copy-on-write when eviction mutates a block. The
 /// index lives as long as the engine (it keeps paying off across run()
 /// calls); clear_prefix_cache() drops it. Only requests using the
 /// engine-built policy participate — the cached score snapshots are
@@ -120,14 +125,14 @@ struct EngineStats {
   std::size_t decoded_tokens = 0;    ///< tokens produced by decode steps
   std::size_t prefilled_tokens = 0;  ///< prompt tokens processed
   std::size_t max_batch = 0;         ///< peak concurrent sequences
-  std::size_t max_tokens_in_use = 0; ///< peak summed charged KV tokens
-                                     ///< (includes transient prefill peaks)
-  // Paged-pool visibility (all zero when paging is disabled):
-  std::size_t max_blocks_in_use = 0;     ///< peak scheduler-reserved blocks
+  // Pool visibility:
+  /// Peak scheduler-reserved blocks (includes transient prefill peaks).
+  std::size_t max_blocks_in_use = 0;
   std::size_t pool_peak_used_blocks = 0; ///< peak physically held blocks
   std::size_t pool_capacity_blocks = 0;  ///< aggregate cap (0 = unbounded)
-  /// Worst per-step internal fragmentation: 1 - live_tokens /
-  /// (used_blocks * block_tokens) — the whole-block surcharge paging pays.
+  /// Worst per-step internal fragmentation: the empty slots of the active
+  /// caches' partial tail blocks over the token slots of the used blocks
+  /// outside the prefix index — the whole-block surcharge paging pays.
   double max_fragmentation = 0.0;
   // Prefix-cache visibility (all zero when the prefix cache is disabled):
   std::size_t prefix_hits = 0;    ///< prompts that adopted a shared chain
@@ -214,10 +219,10 @@ class Engine {
   /// from any thread and tracks a run in flight at decode-step
   /// granularity: the monitoring hook the async front-end will poll.
   EngineStats stats() const KF_EXCLUDES(stats_mu_);
-  /// The engine-owned block pool; null unless cfg.paged.enabled. Between
-  /// run() calls the only blocks off the free lists are the prefix
-  /// index's retained chains (leak-checked by tests).
-  const mem::BlockPool* pool() const noexcept { return pool_.get(); }
+  /// The engine-owned block pool. Between run() calls the only blocks off
+  /// the free lists are the prefix index's retained chains (leak-checked
+  /// by tests).
+  const mem::BlockPool& pool() const noexcept { return pool_; }
 
   /// The engine-owned prefix index; null unless cfg.prefix.enabled.
   const mem::PrefixIndex* prefix_index() const noexcept {
@@ -233,10 +238,10 @@ class Engine {
   /// Drives every request to completion under continuous batching.
   /// Responses are returned in the order of `requests` (not completion
   /// order). Every request terminates with a definite finish reason:
-  /// invalid or un-servable requests (empty prompt, mismatched external
-  /// KV state, shared kv_state/policy instances, demand above a whole
-  /// shard) are contained as kRejected responses with an error string —
-  /// they never throw, and the rest of the batch keeps decoding.
+  /// invalid or un-servable requests (empty prompt, a policy instance
+  /// shared across requests, demand above a whole shard) are contained as
+  /// kRejected responses with an error string — they never throw, and the
+  /// rest of the batch keeps decoding.
   std::vector<Response> run(std::span<const Request> requests);
 
   /// Aggregate eviction telemetry over the engine's lifetime: every
@@ -247,10 +252,10 @@ class Engine {
   kv::EvictionTelemetry eviction_report() const KF_EXCLUDES(stats_mu_);
 
   /// Installs (nullptr: clears) a fault injector on the engine-owned
-  /// block pool — the chaos-testing hook (see serve/fault.h). No-op when
-  /// paged memory is disabled. The injector must outlive its installation.
+  /// block pool — the chaos-testing hook (see serve/fault.h). The injector
+  /// must outlive its installation.
   void set_fault_injector(mem::FaultInjector* injector) noexcept {
-    if (pool_ != nullptr) pool_->set_fault_injector(injector);
+    pool_.set_fault_injector(injector);
   }
 
  private:
@@ -277,7 +282,7 @@ class Engine {
   obs::Histogram& hist_inter_token_;
   obs::Histogram& hist_queue_wait_;
   obs::Histogram& hist_step_;
-  std::unique_ptr<mem::BlockPool> pool_;
+  mem::BlockPool pool_;
   std::unique_ptr<mem::PrefixIndex> prefix_index_;
 };
 

@@ -10,7 +10,8 @@
 
 namespace kf::serve {
 
-BatchScheduler::BatchScheduler(SchedulerConfig cfg) : cfg_(cfg) {
+BatchScheduler::BatchScheduler(mem::BlockPool& pool, SchedulerConfig cfg)
+    : pool_(pool), cfg_(cfg) {
   if (cfg_.metrics != nullptr) {
     ctr_admitted_ = &cfg_.metrics->counter("sched.admitted");
     ctr_rejected_ = &cfg_.metrics->counter("sched.rejected");
@@ -21,9 +22,8 @@ BatchScheduler::BatchScheduler(SchedulerConfig cfg) : cfg_(cfg) {
 
 void BatchScheduler::submit(Sequence* seq) {
   if (seq == nullptr) throw std::invalid_argument("submit(nullptr)");
-  if (cfg_.pool != nullptr && seq->n_layers == 0) {
-    throw std::invalid_argument(
-        "block-mode scheduling requires seq->n_layers > 0");
+  if (seq->n_layers == 0) {
+    throw std::invalid_argument("scheduling requires seq->n_layers > 0");
   }
   seq->status = SequenceStatus::kWaiting;
   seq->queue_enter_step = seq->arrival_step;
@@ -36,14 +36,14 @@ std::optional<std::size_t> BatchScheduler::pick_shard(
   if (cfg_.placement == ShardPlacement::kRoundRobin) {
     // Pure lookup: the cursor advances only when admit() actually places
     // a sequence (fits() probes this too and must not burn a turn).
-    const std::size_t n = cfg_.pool->n_shards();
+    const std::size_t n = pool_.n_shards();
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t s = (rr_next_ + i) % n;
       if (std::find(candidates.begin(), candidates.end(), s) ==
           candidates.end()) {
         continue;
       }
-      if (cfg_.pool->unreserved_blocks(s) >= demand) return s;
+      if (pool_.unreserved_blocks(s) >= demand) return s;
     }
     return std::nullopt;
   }
@@ -52,22 +52,22 @@ std::optional<std::size_t> BatchScheduler::pick_shard(
   // the pool is unbounded). Ties break to the lowest id so admission
   // stays deterministic.
   std::size_t best = candidates.front();
-  std::size_t best_load = cfg_.pool->shard_stats(best).reserved_blocks;
+  std::size_t best_load = pool_.shard_stats(best).reserved_blocks;
   for (const std::size_t s : candidates) {
-    const std::size_t load = cfg_.pool->shard_stats(s).reserved_blocks;
+    const std::size_t load = pool_.shard_stats(s).reserved_blocks;
     if (load < best_load) {
       best = s;
       best_load = load;
     }
   }
-  if (cfg_.pool->unreserved_blocks(best) >= demand) return best;
+  if (pool_.unreserved_blocks(best) >= demand) return best;
   return std::nullopt;
 }
 
 std::optional<BatchScheduler::Placement> BatchScheduler::choose_shard(
     const Sequence& seq) const {
-  const std::size_t bt = cfg_.pool->block_tokens();
-  const std::size_t n = cfg_.pool->n_shards();
+  const std::size_t bt = pool_.block_tokens();
+  const std::size_t n = pool_.n_shards();
   const std::size_t full = seq.admission_cost_blocks(bt);
   // Prefix affinity first: shards already holding the sequence's shared
   // chain serve it at the unshared demand — both cheaper for the pool and
@@ -95,15 +95,7 @@ bool BatchScheduler::fits(const Sequence& seq) const {
   if (cfg_.max_batch_size > 0 && active_.size() >= cfg_.max_batch_size) {
     return false;
   }
-  if (cfg_.pool != nullptr) {
-    return choose_shard(seq).has_value();
-  }
-  if (cfg_.max_concurrent_tokens == 0) return true;
-  const std::size_t cost = seq.admission_cost_tokens();
-  if (tokens_in_use() + cost <= cfg_.max_concurrent_tokens) return true;
-  // Oversized sequences (admission cost > whole budget) run solo instead
-  // of blocking the queue forever.
-  return cost > cfg_.max_concurrent_tokens && active_.empty();
+  return choose_shard(seq).has_value();
 }
 
 std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
@@ -111,81 +103,67 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
   while (!waiting_.empty()) {
     Sequence* head = waiting_.front();
     if (head->arrival_step > now_step) break;
-    if (cfg_.pool != nullptr) {
-      // A demand above a whole (bounded) shard can never be satisfied —
-      // the cap is physical, there is no run-solo override. Reject the
-      // request instead of deadlocking the FIFO; admission moves on to
-      // the next waiting sequence. The check uses the smallest
-      // conceivable charge: a pinned prefix match shrinks demand on its
-      // resident shards.
-      const std::size_t per_shard = cfg_.pool->config().blocks_per_shard;
-      const std::size_t bt = cfg_.pool->block_tokens();
-      const std::size_t min_demand =
-          head->prefix_entry != nullptr
-              ? head->unshared_admission_blocks(bt)
-              : head->admission_cost_blocks(bt);
-      if (per_shard > 0 && min_demand > per_shard) {
+    // A demand above a whole (bounded) shard can never be satisfied — the
+    // cap is physical. Reject the request instead of deadlocking the FIFO;
+    // admission moves on to the next waiting sequence. The check uses the
+    // smallest conceivable charge: a pinned prefix match shrinks demand on
+    // its resident shards.
+    const std::size_t per_shard = pool_.config().blocks_per_shard;
+    const std::size_t bt = pool_.block_tokens();
+    const std::size_t min_demand = head->prefix_entry != nullptr
+                                       ? head->unshared_admission_blocks(bt)
+                                       : head->admission_cost_blocks(bt);
+    if (per_shard > 0 && min_demand > per_shard) {
+      waiting_.pop_front();
+      head->status = SequenceStatus::kFinished;
+      head->finish = FinishReason::kRejected;
+      head->error =
+          "sequence KV demand exceeds a whole pool shard; grow "
+          "blocks_per_shard or reduce the request";
+      rejected_.push_back(head);
+      if (ctr_rejected_ != nullptr) ctr_rejected_->add();
+      continue;
+    }
+    if (!fits(*head)) break;
+    const auto placement = choose_shard(*head);
+    // fits() said yes a moment ago, but the reservation can still be
+    // refused: a prefix-index insert/replication on another code path
+    // claimed the capacity in between (TOCTOU), or a fault injector vetoed
+    // it. Roll the admission back and retry next round — or reject once
+    // the same sequence has lost too many rounds in a row for a race to be
+    // the explanation.
+    if (!placement.has_value() ||
+        !pool_.try_reserve(placement->shard, placement->demand)) {
+      {
+        const LockGuard lock(counters_mu_);
+        ++reservation_retries_;
+      }
+      if (ctr_retries_ != nullptr) ctr_retries_->add();
+      ++head->reserve_failures;
+      if (cfg_.max_reserve_retries > 0 &&
+          head->reserve_failures > cfg_.max_reserve_retries) {
         waiting_.pop_front();
         head->status = SequenceStatus::kFinished;
         head->finish = FinishReason::kRejected;
-        head->error =
-            "sequence KV demand exceeds a whole pool shard; grow "
-            "blocks_per_shard or reduce the request";
+        head->error = "block reservation denied " +
+                      std::to_string(head->reserve_failures) +
+                      " consecutive admission rounds";
         rejected_.push_back(head);
         if (ctr_rejected_ != nullptr) ctr_rejected_->add();
         continue;
       }
+      break;
     }
-    if (!fits(*head)) break;
     waiting_.pop_front();
     head->status = SequenceStatus::kActive;
-    head->charged_tokens = head->admission_cost_tokens();
+    head->reserve_failures = 0;
+    head->shard = placement->shard;
+    head->reserved_blocks = placement->demand;
     {
       const LockGuard lock(counters_mu_);
-      tokens_in_use_ += head->charged_tokens;
+      blocks_in_use_ += placement->demand;
     }
-    if (cfg_.pool != nullptr) {
-      const auto placement = choose_shard(*head);
-      // fits() said yes a moment ago, but the reservation can still be
-      // refused: a prefix-index insert/replication on another code path
-      // claimed the capacity in between (TOCTOU), or a fault injector
-      // vetoed it. Roll the admission back and retry next round — or
-      // reject once the same sequence has lost too many rounds in a row
-      // for a race to be the explanation.
-      if (!placement.has_value() ||
-          !cfg_.pool->try_reserve(placement->shard, placement->demand)) {
-        {
-          const LockGuard lock(counters_mu_);
-          tokens_in_use_ -= head->charged_tokens;
-          ++reservation_retries_;
-        }
-        if (ctr_retries_ != nullptr) ctr_retries_->add();
-        head->charged_tokens = 0;
-        ++head->reserve_failures;
-        if (cfg_.max_reserve_retries > 0 &&
-            head->reserve_failures > cfg_.max_reserve_retries) {
-          head->status = SequenceStatus::kFinished;
-          head->finish = FinishReason::kRejected;
-          head->error = "block reservation denied " +
-                        std::to_string(head->reserve_failures) +
-                        " consecutive admission rounds";
-          rejected_.push_back(head);
-          if (ctr_rejected_ != nullptr) ctr_rejected_->add();
-          continue;
-        }
-        head->status = SequenceStatus::kWaiting;
-        waiting_.push_front(head);
-        break;
-      }
-      head->reserve_failures = 0;
-      head->shard = placement->shard;
-      head->reserved_blocks = placement->demand;
-      {
-        const LockGuard lock(counters_mu_);
-        blocks_in_use_ += placement->demand;
-      }
-      rr_next_ = (placement->shard + 1) % cfg_.pool->n_shards();
-    }
+    rr_next_ = (placement->shard + 1) % pool_.n_shards();
     head->admitted_step = now_step;
     active_.push_back(head);
     admitted.push_back(head);
@@ -248,37 +226,23 @@ void BatchScheduler::settle(Sequence* seq) {
   if (it == active_.end()) {
     throw std::invalid_argument("settle of a sequence that is not active");
   }
-  const std::size_t steady = seq->cost_tokens();
-  {
+  const std::size_t steady_blocks =
+      std::min(seq->reserved_blocks, seq->cost_blocks(pool_.block_tokens()));
+  const std::size_t excess = seq->reserved_blocks - steady_blocks;
+  if (excess > 0) {
+    pool_.unreserve(seq->shard, excess);
+    seq->reserved_blocks = steady_blocks;
     const LockGuard lock(counters_mu_);
-    tokens_in_use_ -=
-        seq->charged_tokens - std::min(seq->charged_tokens, steady);
-  }
-  seq->charged_tokens = std::min(seq->charged_tokens, steady);
-  if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
-    const std::size_t steady_blocks =
-        std::min(seq->reserved_blocks,
-                 seq->cost_blocks(cfg_.pool->block_tokens()));
-    const std::size_t excess = seq->reserved_blocks - steady_blocks;
-    if (excess > 0) {
-      cfg_.pool->unreserve(seq->shard, excess);
-      seq->reserved_blocks = steady_blocks;
-      const LockGuard lock(counters_mu_);
-      blocks_in_use_ -= excess;
-    }
+    blocks_in_use_ -= excess;
   }
 }
 
 void BatchScheduler::uncharge(Sequence* seq) {
-  const bool reserved =
-      cfg_.pool != nullptr && seq->shard != Sequence::kNoShard;
-  if (reserved) cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
+  pool_.unreserve(seq->shard, seq->reserved_blocks);
   {
     const LockGuard lock(counters_mu_);
-    tokens_in_use_ -= seq->charged_tokens;
-    if (reserved) blocks_in_use_ -= seq->reserved_blocks;
+    blocks_in_use_ -= seq->reserved_blocks;
   }
-  seq->charged_tokens = 0;
   seq->reserved_blocks = 0;
   seq->shard = Sequence::kNoShard;
 }

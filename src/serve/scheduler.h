@@ -4,38 +4,34 @@
 // arrival) and an active set that decodes together. Sequences join the
 // active set as soon as they have arrived AND fit the limits:
 //   - max_batch_size: concurrent sequences (GEMM batch width);
-//   - memory, in one of two modes:
-//       token mode (pool == nullptr): max_concurrent_tokens caps the
-//       summed per-layer KV cache tokens — an abstract proxy;
-//       block mode (pool != nullptr): admission *reserves real blocks*
-//       on one BlockPool shard, chosen by the placement policy. The
-//       reservation covers the sequence's whole-block demand across all
-//       its layers (ceil per layer — internal fragmentation is charged,
-//       not hidden), so pool capacity is an exact physical memory cap: an
-//       admitted sequence can always allocate what it was charged.
-//       When the sequence has a pinned prefix-cache match (seq.prefix_*),
-//       shards already holding the shared chain are tried first and charge
-//       only the *unshared* demand — the shared prefix blocks are resident
-//       and paid for by the index; other shards charge the full demand
-//       (the chain would have to be replicated or recomputed there).
-//   In both modes a joining sequence is charged its transient prefill
-//   peak (admission_cost: the full prompt is resident per layer until the
-//   policy trims it) and settles down to its steady-state cost once
+//   - memory: admission *reserves real blocks* on one BlockPool shard,
+//     chosen by the placement policy. The reservation covers the
+//     sequence's whole-block demand across all its layers (ceil per layer
+//     — internal fragmentation is charged, not hidden), so pool capacity
+//     is an exact physical memory cap: an admitted sequence can always
+//     allocate what it was charged. An unbounded pool admits on the batch
+//     cap alone. When the sequence has a pinned prefix-cache match
+//     (seq.prefix_*), shards already holding the shared chain are tried
+//     first and charge only the *unshared* demand — the shared prefix
+//     blocks are resident and paid for by the index; other shards charge
+//     the full demand (the chain would have to be replicated or
+//     recomputed there).
+//   A joining sequence is charged its transient prefill peak
+//   (admission_cost_blocks: the full prompt is resident per layer until
+//   the policy trims it) and settles down to its steady-state cost once
 //   prefill completes. Because a budgeted sequence's steady cost is
 //   ~cache_ratio * prompt_len, reducing the cache ratio admits
-//   proportionally more sequences into the same memory: the mechanism
+//   proportionally more sequences into the same pool: the mechanism
 //   behind Keyformer's Table 1 "bigger batch" row.
-// Sequences leave (release) when they finish, immediately freeing their
-// budget/blocks for the next waiting sequence — join/leave mid-stream.
+// Sequences leave (release) when they finish, immediately returning their
+// blocks for the next waiting sequence — join/leave mid-stream.
 //
 // Admission is strict FIFO: the head of the queue blocks later arrivals
-// even if those would fit, so large requests cannot starve. In token mode
-// an oversized sequence (cost above the entire budget) is admitted only
-// when the active set is empty, running solo rather than deadlocking the
-// queue. In block mode there is no such override — the cap is physical —
-// so a sequence whose admission demand exceeds a whole shard is marked
-// kRejected and parked on the rejected list (take_rejected()) instead of
-// deadlocking; admission moves on to the next waiting sequence.
+// even if those would fit, so large requests cannot starve. The cap is
+// physical, so a sequence whose admission demand exceeds a whole shard is
+// marked kRejected and parked on the rejected list (take_rejected())
+// instead of deadlocking; admission moves on to the next waiting
+// sequence.
 //
 // Robustness hooks (PR 7):
 //   - A block reservation that fails after fits() said yes (a TOCTOU
@@ -44,8 +40,8 @@
 //     max_reserve_retries consecutive losses the sequence is rejected so
 //     a shard that never grants the claim cannot spin the engine forever.
 //   - preempt() is release()'s mid-flight sibling: it frees an active
-//     sequence's charges/blocks but re-queues it (keeping its generated
-//     tokens) behind every already-arrived waiter, so the starved head
+//     sequence's blocks but re-queues it (keeping its generated tokens)
+//     behind every already-arrived waiter, so the starved head
 //     gets the freed budget. pick_victim() chooses who pays: the
 //     youngest-by-arrival active sequence old enough (victim-age floor)
 //     and under its preemption cap — both bounds guarantee progress.
@@ -73,7 +69,7 @@ class MetricsRegistry;
 
 namespace kf::serve {
 
-/// How block mode picks a shard for a joining sequence.
+/// How admission picks a shard for a joining sequence.
 enum class ShardPlacement {
   kLeastLoaded,  ///< shard with the most unreserved blocks (ties: lowest id)
   kRoundRobin,   ///< cycle shards, skipping ones the sequence doesn't fit
@@ -82,13 +78,11 @@ enum class ShardPlacement {
 struct SchedulerConfig {
   /// Max sequences decoding together; 0 = unlimited.
   std::size_t max_batch_size = 8;
-  /// Token-mode memory budget: summed charged tokens of active sequences
-  /// (transient prefill peak until settle(), then steady-state cost);
-  /// 0 = unlimited. Ignored for admission when `pool` is set.
+  /// KV-memory budget in summed per-layer tokens of the active set; 0 =
+  /// unlimited. The scheduler never reads it: the engine turns it into the
+  /// pool's capacity (n_layers * ceil(budget / block_tokens) blocks, split
+  /// across shards), and admission reserves against that capacity.
   std::size_t max_concurrent_tokens = 0;
-  /// Block mode: admission reserves blocks against this pool's shards.
-  /// The pool must outlive the scheduler. Null = token mode.
-  mem::BlockPool* pool = nullptr;
   /// The engine's prefix index (for chain-residency placement queries);
   /// null when the prefix cache is disabled. Must outlive the scheduler.
   const mem::PrefixIndex* prefix_index = nullptr;
@@ -106,23 +100,25 @@ struct SchedulerConfig {
 
 class BatchScheduler {
  public:
-  explicit BatchScheduler(SchedulerConfig cfg = {});
+  /// Admission reserves blocks against `pool`'s shards; the pool must
+  /// outlive the scheduler.
+  explicit BatchScheduler(mem::BlockPool& pool, SchedulerConfig cfg = {});
 
   const SchedulerConfig& config() const noexcept { return cfg_; }
 
   /// Queues a sequence. Callers submit in arrival order (the engine sorts
   /// by arrival_step, then submission order); the queue is strict FIFO.
-  /// Block mode requires seq->n_layers > 0 (the block demand unit).
+  /// Requires seq->n_layers > 0 (the block demand unit).
   void submit(Sequence* seq);
 
   /// Moves every admissible waiting sequence (arrived by `now_step`, fits
   /// both limits) into the active set and returns the newly admitted ones
-  /// in admission order. Block mode: each admitted sequence has its shard
-  /// chosen and its admission block demand reserved. A sequence whose
-  /// demand exceeds a whole shard (it could never run) is marked
-  /// kRejected and moved to the rejected list instead of blocking the
-  /// queue; a reservation lost to a TOCTOU race rolls back and retries
-  /// next round (see the header comment).
+  /// in admission order. Each admitted sequence has its shard chosen and
+  /// its admission block demand reserved. A sequence whose demand exceeds
+  /// a whole shard (it could never run) is marked kRejected and moved to
+  /// the rejected list instead of blocking the queue; a reservation lost
+  /// to a TOCTOU race rolls back and retries next round (see the header
+  /// comment).
   std::vector<Sequence*> admit(std::size_t now_step);
 
   /// Sequences admission rejected since the last call (status kFinished,
@@ -130,10 +126,10 @@ class BatchScheduler {
   /// and turns each into a Response.
   std::vector<Sequence*> take_rejected();
 
-  /// Parks an active sequence back into the waiting queue: frees its
-  /// token charge and block reservation exactly like release(), but keeps
-  /// its committed tokens and re-queues it (behind already-arrived
-  /// waiters, ahead of future arrivals) for recompute-based resume.
+  /// Parks an active sequence back into the waiting queue: frees its block
+  /// reservation exactly like release(), but keeps its committed tokens
+  /// and re-queues it (behind already-arrived waiters, ahead of future
+  /// arrivals) for recompute-based resume.
   /// Bumps seq->preemptions and stamps seq->queue_enter_step.
   void preempt(Sequence* seq, std::size_t now_step);
 
@@ -149,15 +145,14 @@ class BatchScheduler {
   /// false when it is not waiting.
   bool remove_waiting(Sequence* seq);
 
-  /// Drops an active sequence's charge from its admission cost (transient
-  /// prefill peak) to its steady-state cost. The engine calls this once
-  /// prefill has completed and the policy has trimmed the cache to budget,
-  /// freeing the transient headroom (tokens and reserved blocks alike)
-  /// for the next admission.
+  /// Drops an active sequence's reservation from its admission cost
+  /// (transient prefill peak) to its steady-state cost. The engine calls
+  /// this once prefill has completed and the policy has trimmed the cache
+  /// to budget, freeing the transient headroom for the next admission.
   void settle(Sequence* seq);
 
-  /// Removes a finished sequence from the active set, freeing its budget
-  /// and returning its reserved blocks to the pool.
+  /// Removes a finished sequence from the active set, returning its
+  /// reserved blocks to the pool.
   void release(Sequence* seq);
 
   std::span<Sequence* const> active() const noexcept { return active_; }
@@ -166,15 +161,8 @@ class BatchScheduler {
   /// The FIFO queue, head first (the engine probes it for prefix-cache
   /// matches before each admission round).
   const std::deque<Sequence*>& waiting() const noexcept { return waiting_; }
-  /// Summed charged tokens of the active set (tracked in both modes).
-  /// Guarded: safe to read from a monitoring thread while the engine loop
-  /// admits/settles/releases.
-  std::size_t tokens_in_use() const KF_EXCLUDES(counters_mu_) {
-    const LockGuard lock(counters_mu_);
-    return tokens_in_use_;
-  }
-  /// Summed reserved blocks of the active set (block mode; 0 otherwise).
-  /// Guarded like tokens_in_use().
+  /// Summed reserved blocks of the active set. Guarded: safe to read from
+  /// a monitoring thread while the engine loop admits/settles/releases.
   std::size_t blocks_in_use() const KF_EXCLUDES(counters_mu_) {
     const LockGuard lock(counters_mu_);
     return blocks_in_use_;
@@ -193,9 +181,9 @@ class BatchScheduler {
 
  private:
   bool fits(const Sequence& seq) const;
-  /// Block mode: a shard able to host the sequence and what admission
-  /// would charge it there (unshared demand on shards holding its shared
-  /// prefix chain, full demand elsewhere).
+  /// A shard able to host the sequence and what admission would charge it
+  /// there (unshared demand on shards holding its shared prefix chain,
+  /// full demand elsewhere).
   struct Placement {
     std::size_t shard = 0;
     std::size_t demand = 0;
@@ -204,10 +192,11 @@ class BatchScheduler {
   /// Placement policy over one candidate shard set; nullopt when none fit.
   std::optional<std::size_t> pick_shard(
       const std::vector<std::size_t>& candidates, std::size_t demand) const;
-  /// Returns an active-set leaver's token charge and block reservation
-  /// (release() and preempt() share it).
+  /// Returns an active-set leaver's block reservation (release() and
+  /// preempt() share it).
   void uncharge(Sequence* seq);
 
+  mem::BlockPool& pool_;
   SchedulerConfig cfg_;
   /// Queue/active-set structure is engine-loop-only (single writer, no
   /// concurrent readers); only the in-use counters below are shared with
@@ -217,7 +206,6 @@ class BatchScheduler {
   /// Admission-rejected sequences awaiting the engine's drain.
   std::vector<Sequence*> rejected_;
   mutable Mutex counters_mu_;
-  std::size_t tokens_in_use_ KF_GUARDED_BY(counters_mu_) = 0;
   std::size_t blocks_in_use_ KF_GUARDED_BY(counters_mu_) = 0;
   std::size_t reservation_retries_ KF_GUARDED_BY(counters_mu_) = 0;
   std::size_t rr_next_ = 0;  ///< round-robin cursor (advances on placement)

@@ -58,10 +58,6 @@ struct Request {
   /// sequence from its EngineConfig policy description; sequences never
   /// share a policy instance (score state is per sequence).
   kv::EvictionPolicy* policy = nullptr;
-  /// Optional externally-owned KV state (cleared at prefill). When null
-  /// the engine allocates one. generate() passes the model's default state
-  /// so post-run cache inspection keeps working.
-  kv::SequenceKvState* kv_state = nullptr;
   /// Prompt prefix length the caller marks as shareable across requests
   /// (the end of a system prompt / few-shot context — an explicit cache
   /// breakpoint). 0 = let the engine index the whole prompt minus its last
@@ -165,11 +161,13 @@ struct Sequence {
   /// so a shard that never grants the claim rejects instead of spinning.
   std::size_t reserve_failures = 0;
 
-  /// Cache/policy used for this sequence; point at the owned_* members or
-  /// at externally-owned objects from the Request.
-  kv::SequenceKvState* kv = nullptr;
+  /// Paged layer caches on the shard admission placed this sequence on;
+  /// built at admission, torn down at park/finish so the blocks return to
+  /// the pool at once. Null while the sequence holds no admission.
+  std::unique_ptr<kv::SequenceKvState> kv;
+  /// Policy used for this sequence: owned_policy, or the Request's
+  /// externally-owned instance.
   kv::EvictionPolicy* policy = nullptr;
-  std::unique_ptr<kv::SequenceKvState> owned_kv;
   std::unique_ptr<kv::EvictionPolicy> owned_policy;
 
   std::size_t peak_cache_tokens = 0;
@@ -204,9 +202,9 @@ struct Sequence {
   kv::EvictionTelemetry eviction;
 
   /// Per-layer cache sizes captured at retirement. The engine records
-  /// these the moment a sequence finishes because a paged sequence's
-  /// caches are torn down right then — their blocks must return to the
-  /// pool while other sequences are still running, not at end of run.
+  /// these the moment a sequence finishes because its paged caches are
+  /// torn down right then — their blocks must return to the pool while
+  /// other sequences are still running, not at end of run.
   std::vector<std::size_t> final_cache_sizes;
 
   /// Scheduler admission cost in per-layer cache tokens: the steady-state
@@ -219,7 +217,7 @@ struct Sequence {
     // A budget only caps memory when the policy actually evicts: a
     // non-evicting policy (full attention) grows to prompt+gen per layer
     // no matter what cache_ratio the request asked for, and charging it
-    // k+1 would let the scheduler over-commit the token budget.
+    // k+1 would let the scheduler over-commit the pool.
     const bool evicting =
         budget.max_tokens > 0 && (policy == nullptr || policy->evicts());
     if (evicting) return budget.max_tokens + 1;
@@ -229,24 +227,20 @@ struct Sequence {
   /// Admission cost in per-layer cache tokens: prefill materializes the
   /// full prompt in every layer before the policy trims it to budget, so a
   /// joining sequence transiently needs max(prompt_len, steady-state)
-  /// headroom. The scheduler charges this at admit() and settles down to
-  /// cost_tokens() once prefill completes, keeping max_concurrent_tokens a
-  /// true memory cap rather than a steady-state-only proxy.
+  /// headroom. The scheduler reserves this (in blocks) at admit() and
+  /// settles down to cost_tokens() once prefill completes, keeping the
+  /// pool capacity a true memory cap rather than a steady-state-only proxy.
   std::size_t admission_cost_tokens() const {
     return std::max(prompt.size(), cost_tokens());
   }
-
-  /// What the scheduler currently charges this sequence against the token
-  /// budget (admission cost until settle(), then cost_tokens()).
-  std::size_t charged_tokens = 0;
 
   /// Decoder layers this sequence materializes caches for (set by the
   /// engine from the model config; block demands are per layer).
   std::size_t n_layers = 0;
 
   /// Block-pool placement: the shard this sequence's caches draw from
-  /// (kNoShard until admitted under a paged scheduler) and the blocks the
-  /// scheduler currently holds reserved on it.
+  /// (kNoShard until admitted) and the blocks the scheduler currently
+  /// holds reserved on it.
   static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
   std::size_t shard = kNoShard;
   std::size_t reserved_blocks = 0;

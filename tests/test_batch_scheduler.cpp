@@ -58,137 +58,6 @@ TEST(SequenceCost, AdmissionChargesPrefillPeak) {
   EXPECT_EQ(make_seq(40, 1.0, 8).admission_cost_tokens(), 48u);
 }
 
-TEST(BatchScheduler, AdmitsUpToBatchSize) {
-  BatchScheduler sched({.max_batch_size = 2, .max_concurrent_tokens = 0});
-  std::vector<Sequence> seqs;
-  for (int i = 0; i < 3; ++i) seqs.push_back(make_seq(16, 0.5));
-  for (auto& s : seqs) sched.submit(&s);
-  const auto admitted = sched.admit(0);
-  EXPECT_EQ(admitted.size(), 2u);
-  EXPECT_EQ(sched.active_count(), 2u);
-  EXPECT_EQ(sched.waiting_count(), 1u);
-  // Releasing one frees a slot for the third.
-  sched.release(admitted[0]);
-  EXPECT_EQ(sched.admit(0).size(), 1u);
-}
-
-TEST(BatchScheduler, TokenBudgetChargesPrefillPeakThenSettles) {
-  // Each sequence settles to k+1 = 9 tokens but transiently needs its full
-  // 16-token prompt resident during prefill; the budget must cover the
-  // charged (not just steady-state) total at every admission.
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 25});
-  std::vector<Sequence> seqs;
-  for (int i = 0; i < 3; ++i) seqs.push_back(make_seq(16, 0.5));
-  for (auto& s : seqs) sched.submit(&s);
-
-  // Two un-settled prefill charges (16 + 16) exceed 25: one at a time.
-  auto admitted = sched.admit(0);
-  ASSERT_EQ(admitted.size(), 1u);
-  EXPECT_EQ(sched.tokens_in_use(), 16u);
-  sched.settle(admitted[0]);
-  EXPECT_EQ(sched.tokens_in_use(), 9u);
-
-  // 9 settled + 16 prefilling = 25 fits exactly.
-  admitted = sched.admit(0);
-  ASSERT_EQ(admitted.size(), 1u);
-  EXPECT_EQ(sched.tokens_in_use(), 25u);
-  sched.settle(admitted[0]);
-  EXPECT_EQ(sched.tokens_in_use(), 18u);
-
-  // 18 settled + 16 > 25: the third waits for a release.
-  EXPECT_TRUE(sched.admit(0).empty());
-  sched.release(sched.active()[0]);
-  EXPECT_EQ(sched.tokens_in_use(), 9u);
-  EXPECT_EQ(sched.admit(0).size(), 1u);
-}
-
-TEST(BatchScheduler, ReducedCacheRatioAdmitsMoreSequences) {
-  // The Table 1 mechanism: at half the cache ratio, roughly twice the
-  // sequences fit the same token budget.
-  const std::size_t budget_tokens = 200;
-  const auto admitted_at = [&](double ratio) {
-    BatchScheduler sched(
-        {.max_batch_size = 0, .max_concurrent_tokens = budget_tokens});
-    std::vector<Sequence> seqs;
-    seqs.reserve(16);
-    for (int i = 0; i < 16; ++i) seqs.push_back(make_seq(64, ratio));
-    for (auto& s : seqs) sched.submit(&s);
-    // Drive to steady state: admit, settle (prefill completes), repeat
-    // until the budget blocks further admission.
-    while (true) {
-      const auto admitted = sched.admit(0);
-      if (admitted.empty()) break;
-      for (Sequence* s : admitted) sched.settle(s);
-    }
-    return sched.active_count();
-  };
-  const std::size_t at_full = admitted_at(1.0);
-  const std::size_t at_half = admitted_at(0.5);
-  const std::size_t at_quarter = admitted_at(0.25);
-  EXPECT_LT(at_full, at_half);
-  EXPECT_LT(at_half, at_quarter);
-}
-
-TEST(BatchScheduler, ArrivalStepGatesAdmission) {
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 0});
-  Sequence early = make_seq(8, 1.0, 4, /*arrival=*/0);
-  Sequence late = make_seq(8, 1.0, 4, /*arrival=*/5);
-  sched.submit(&early);
-  sched.submit(&late);
-  EXPECT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(sched.admit(4).size(), 0u);
-  ASSERT_TRUE(sched.next_arrival().has_value());
-  EXPECT_EQ(*sched.next_arrival(), 5u);
-  EXPECT_EQ(sched.admit(5).size(), 1u);
-  EXPECT_FALSE(sched.next_arrival().has_value());
-}
-
-TEST(BatchScheduler, StrictFifoHeadOfLineBlocks) {
-  // A big head-of-queue request blocks later small ones (no starvation of
-  // large requests), even though the small one would fit.
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 60});
-  Sequence resident = make_seq(40, 0.5);  // admission charge 40
-  Sequence big = make_seq(60, 0.5);       // charge 60 > remaining 20
-  Sequence small = make_seq(8, 0.5);      // charge 8, would fit
-  sched.submit(&resident);
-  ASSERT_EQ(sched.admit(0).size(), 1u);
-  sched.submit(&big);
-  sched.submit(&small);
-  EXPECT_TRUE(sched.admit(0).empty());
-  // Once the resident leaves, the big head fits the freed budget, and only
-  // then the small one.
-  sched.release(&resident);
-  auto admitted = sched.admit(0);
-  ASSERT_EQ(admitted.size(), 1u);
-  EXPECT_EQ(admitted[0], &big);
-}
-
-TEST(BatchScheduler, OversizedSequenceRunsSolo) {
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 10});
-  Sequence huge = make_seq(100, 1.0, 16);  // cost 116 >> 10
-  Sequence other = make_seq(8, 0.5);
-  sched.submit(&huge);
-  sched.submit(&other);
-  const auto admitted = sched.admit(0);
-  ASSERT_EQ(admitted.size(), 1u);
-  EXPECT_EQ(admitted[0], &huge);
-  // Nothing else joins while the oversized sequence occupies the engine.
-  EXPECT_TRUE(sched.admit(0).empty());
-  sched.release(&huge);
-  EXPECT_EQ(sched.admit(0).size(), 1u);
-}
-
-TEST(BatchScheduler, ReleaseOrSettleOfInactiveThrows) {
-  BatchScheduler sched;
-  Sequence s = make_seq(8, 0.5);
-  EXPECT_THROW(sched.release(&s), std::invalid_argument);
-  EXPECT_THROW(sched.settle(&s), std::invalid_argument);
-  EXPECT_THROW(sched.submit(nullptr), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Block mode: admission backed by real reservations on a mem::BlockPool.
-
 mem::BlockPoolConfig block_pool_config(std::size_t shards,
                                        std::size_t blocks_per_shard,
                                        std::size_t block_tokens = 8) {
@@ -208,6 +77,138 @@ Sequence make_block_seq(std::size_t prompt_len, double cache_ratio,
   return s;
 }
 
+TEST(BatchScheduler, AdmitsUpToBatchSize) {
+  mem::BlockPool pool(block_pool_config(1, /*unbounded*/ 0));
+  BatchScheduler sched(pool, {.max_batch_size = 2});
+  std::vector<Sequence> seqs;
+  for (int i = 0; i < 3; ++i) seqs.push_back(make_block_seq(16, 0.5));
+  for (auto& s : seqs) sched.submit(&s);
+  const auto admitted = sched.admit(0);
+  EXPECT_EQ(admitted.size(), 2u);
+  EXPECT_EQ(sched.active_count(), 2u);
+  EXPECT_EQ(sched.waiting_count(), 1u);
+  // Releasing one frees a slot for the third.
+  sched.release(admitted[0]);
+  EXPECT_EQ(sched.admit(0).size(), 1u);
+}
+
+TEST(BatchScheduler, BlockBudgetChargesPrefillPeakThenSettles) {
+  // One layer, 4-token blocks: each sequence settles to k+1 = 9 tokens (3
+  // blocks) but transiently needs its full 16-token prompt (4 blocks)
+  // resident during prefill; the pool must cover the charged (not just
+  // steady-state) total at every admission.
+  mem::BlockPool pool(block_pool_config(1, 7, /*block_tokens=*/4));
+  BatchScheduler sched(pool, {.max_batch_size = 0});
+  std::vector<Sequence> seqs;
+  for (int i = 0; i < 3; ++i) {
+    seqs.push_back(make_block_seq(16, 0.5, /*n_layers=*/1));
+  }
+  for (auto& s : seqs) sched.submit(&s);
+
+  // Two un-settled prefill charges (4 + 4) exceed 7: one at a time.
+  auto admitted = sched.admit(0);
+  ASSERT_EQ(admitted.size(), 1u);
+  EXPECT_EQ(sched.blocks_in_use(), 4u);
+  sched.settle(admitted[0]);
+  EXPECT_EQ(sched.blocks_in_use(), 3u);
+
+  // 3 settled + 4 prefilling = 7 fits exactly.
+  admitted = sched.admit(0);
+  ASSERT_EQ(admitted.size(), 1u);
+  EXPECT_EQ(sched.blocks_in_use(), 7u);
+  sched.settle(admitted[0]);
+  EXPECT_EQ(sched.blocks_in_use(), 6u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 6u);
+
+  // 6 settled + 4 > 7: the third waits for a release.
+  EXPECT_TRUE(sched.admit(0).empty());
+  sched.release(sched.active()[0]);
+  EXPECT_EQ(sched.blocks_in_use(), 3u);
+  EXPECT_EQ(sched.admit(0).size(), 1u);
+}
+
+TEST(BatchScheduler, ReducedCacheRatioAdmitsMoreSequences) {
+  // The Table 1 mechanism: at a lower cache ratio, more sequences fit the
+  // same pool. 64-token prompts, one layer, 8-token blocks: steady costs
+  // are 9 (full), 5 (half) and 3 (quarter) blocks, prefill peaks 9/8/8.
+  const auto admitted_at = [&](double ratio) {
+    mem::BlockPool pool(block_pool_config(1, 25));
+    BatchScheduler sched(pool, {.max_batch_size = 0});
+    std::vector<Sequence> seqs;
+    seqs.reserve(16);
+    for (int i = 0; i < 16; ++i) {
+      seqs.push_back(make_block_seq(64, ratio, /*n_layers=*/1));
+    }
+    for (auto& s : seqs) sched.submit(&s);
+    // Drive to steady state: admit, settle (prefill completes), repeat
+    // until the pool blocks further admission.
+    while (true) {
+      const auto admitted = sched.admit(0);
+      if (admitted.empty()) break;
+      for (Sequence* s : admitted) sched.settle(s);
+    }
+    const std::size_t n = sched.active_count();
+    while (sched.active_count() > 0) sched.release(sched.active()[0]);
+    return n;
+  };
+  const std::size_t at_full = admitted_at(1.0);
+  const std::size_t at_half = admitted_at(0.5);
+  const std::size_t at_quarter = admitted_at(0.25);
+  EXPECT_EQ(at_full, 2u);
+  EXPECT_EQ(at_half, 4u);
+  EXPECT_EQ(at_quarter, 6u);
+}
+
+TEST(BatchScheduler, ArrivalStepGatesAdmission) {
+  mem::BlockPool pool(block_pool_config(1, /*unbounded*/ 0));
+  BatchScheduler sched(pool, {.max_batch_size = 0});
+  Sequence early = make_block_seq(8, 1.0, 2, 4);
+  Sequence late = make_block_seq(8, 1.0, 2, 4);
+  late.arrival_step = 5;
+  sched.submit(&early);
+  sched.submit(&late);
+  EXPECT_EQ(sched.admit(0).size(), 1u);
+  EXPECT_EQ(sched.admit(4).size(), 0u);
+  ASSERT_TRUE(sched.next_arrival().has_value());
+  EXPECT_EQ(*sched.next_arrival(), 5u);
+  EXPECT_EQ(sched.admit(5).size(), 1u);
+  EXPECT_FALSE(sched.next_arrival().has_value());
+}
+
+TEST(BatchScheduler, StrictFifoHeadOfLineBlocks) {
+  // A big head-of-queue request blocks later small ones (no starvation of
+  // large requests), even though the small one would fit. One layer,
+  // 8-token blocks, an 8-block pool.
+  mem::BlockPool pool(block_pool_config(1, 8));
+  BatchScheduler sched(pool, {.max_batch_size = 0});
+  Sequence resident = make_block_seq(40, 0.5, 1);  // admission charge 5
+  Sequence big = make_block_seq(60, 0.5, 1);       // charge 8 > remaining 3
+  Sequence small = make_block_seq(8, 0.5, 1);      // charge 1, would fit
+  sched.submit(&resident);
+  ASSERT_EQ(sched.admit(0).size(), 1u);
+  sched.submit(&big);
+  sched.submit(&small);
+  EXPECT_TRUE(sched.admit(0).empty());
+  // Once the resident leaves, the big head fits the freed pool, and only
+  // then the small one.
+  sched.release(&resident);
+  auto admitted = sched.admit(0);
+  ASSERT_EQ(admitted.size(), 1u);
+  EXPECT_EQ(admitted[0], &big);
+}
+
+TEST(BatchScheduler, ReleaseOrSettleOfInactiveThrows) {
+  mem::BlockPool pool(block_pool_config(1, 8));
+  BatchScheduler sched(pool);
+  Sequence s = make_block_seq(8, 0.5);
+  EXPECT_THROW(sched.release(&s), std::invalid_argument);
+  EXPECT_THROW(sched.settle(&s), std::invalid_argument);
+  EXPECT_THROW(sched.submit(nullptr), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Reservation, settling and shard placement on a multi-shard pool.
+
 TEST(SequenceCost, BlockDemandRoundsPerLayer) {
   // k = 20 -> steady 21 tokens; block_tokens 8 -> 3 blocks per layer.
   const Sequence s = make_block_seq(40, 0.5, /*n_layers=*/2);
@@ -220,8 +221,7 @@ TEST(BatchScheduler, BlockModeReservesAndSettlesRealBlocks) {
   mem::BlockPool pool(block_pool_config(1, 12));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
 
   Sequence s = make_block_seq(40, 0.5);  // admit 10 blocks, steady 6
   sched.submit(&s);
@@ -241,17 +241,16 @@ TEST(BatchScheduler, BlockModeReservesAndSettlesRealBlocks) {
   EXPECT_EQ(s.shard, Sequence::kNoShard);
 }
 
-TEST(BatchScheduler, BlockModeChargesFragmentationTokenModeHides) {
+TEST(BatchScheduler, BlockModeChargesWholeBlockFragmentation) {
   // Two sequences of steady cost 21 tokens = 3 blocks of 8 per layer x 2
   // layers = 6 blocks each after settle, but 10 at admission. A pool of
   // 12 blocks fits them only sequentially: the second must wait for the
   // first's settle, and a third can never join while both are resident —
-  // even though a 48-token *token* budget would have admitted 2 at once.
+  // even though 48 tokens of raw token slots would hold 2 at once.
   mem::BlockPool pool(block_pool_config(1, 12));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
 
   Sequence a = make_block_seq(40, 0.5);
   Sequence b = make_block_seq(40, 0.5);
@@ -268,8 +267,7 @@ TEST(BatchScheduler, LeastLoadedPlacementSpreadsAcrossShards) {
   mem::BlockPool pool(block_pool_config(2, 16));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
 
   Sequence a = make_block_seq(40, 0.5);
   Sequence b = make_block_seq(40, 0.5);
@@ -283,9 +281,8 @@ TEST(BatchScheduler, RoundRobinPlacementCyclesShards) {
   mem::BlockPool pool(block_pool_config(3, 32));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
   cfg.placement = ShardPlacement::kRoundRobin;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
 
   std::vector<Sequence> seqs;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -306,9 +303,8 @@ TEST(BatchScheduler, RoundRobinSkipsShardsThatCannotFit) {
   ASSERT_TRUE(pool.try_reserve(0, 10));  // shard 0 full
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
   cfg.placement = ShardPlacement::kRoundRobin;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
 
   Sequence a = make_block_seq(40, 0.5);  // 10 admission blocks
   Sequence b = make_block_seq(40, 0.5);
@@ -327,8 +323,7 @@ TEST(BatchScheduler, LeastLoadedPicksFewestReservedAndTieBreaksLowestId) {
   ASSERT_TRUE(pool.try_reserve(2, 2));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
 
   Sequence a = make_block_seq(16, 0.5);
   sched.submit(&a);
@@ -352,10 +347,9 @@ TEST(BatchScheduler, RoundRobinVsLeastLoadedDivergeUnderAsymmetricLoad) {
     ASSERT_TRUE(pool.try_reserve(0, 6));  // shard 0 pre-loaded
     SchedulerConfig cfg;
     cfg.max_batch_size = 0;
-    cfg.pool = &pool;
-    cfg.placement = round_robin ? ShardPlacement::kRoundRobin
+      cfg.placement = round_robin ? ShardPlacement::kRoundRobin
                                 : ShardPlacement::kLeastLoaded;
-    BatchScheduler sched(cfg);
+    BatchScheduler sched(pool, cfg);
     Sequence s = make_block_seq(16, 0.5);
     sched.submit(&s);
     ASSERT_EQ(sched.admit(0).size(), 1u);
@@ -369,8 +363,7 @@ TEST(BatchScheduler, BlockModeOversizedDemandIsRejectedNotDeadlocked) {
   // queue — and the sequence behind it is admitted in the same round.
   mem::BlockPool pool(block_pool_config(1, 4));
   SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
   Sequence huge = make_block_seq(100, 1.0);  // far beyond 4 blocks
   Sequence ok = make_block_seq(8, 1.0);
   sched.submit(&huge);
@@ -449,9 +442,8 @@ TEST(BatchScheduler, PrefixAffinityPlacesOnResidentShardAtReducedCharge) {
 
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
   cfg.prefix_index = &index;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
 
   Sequence s = make_block_seq(40, 0.5);
   s.prefix_entry = entry;
@@ -476,9 +468,8 @@ TEST(BatchScheduler, PrefixSequenceFallsBackToFullChargeElsewhere) {
 
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.pool = &pool;
   cfg.prefix_index = &index;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
   Sequence s = make_block_seq(40, 0.5);
   s.prefix_entry = entry;
   s.prefix_blocks_per_layer = 4;
@@ -492,8 +483,7 @@ TEST(BatchScheduler, PrefixSequenceFallsBackToFullChargeElsewhere) {
 TEST(BatchScheduler, BlockModeRequiresLayerCount) {
   mem::BlockPool pool(block_pool_config(1, 8));
   SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
   Sequence s = make_seq(8, 0.5);  // n_layers left 0
   EXPECT_THROW(sched.submit(&s), std::invalid_argument);
 }
@@ -504,8 +494,7 @@ TEST(BatchScheduler, BlockModeRequiresLayerCount) {
 TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
   mem::BlockPool pool(block_pool_config(1, 12));
   SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
   Sequence a = make_block_seq(40, 0.5);  // 10 admission blocks: fills pool
   Sequence b = make_block_seq(40, 0.5, 2, 8);
   b.arrival_step = 1;
@@ -522,11 +511,9 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
   EXPECT_EQ(a.status, SequenceStatus::kWaiting);
   EXPECT_EQ(a.preemptions, 1u);
   EXPECT_EQ(a.queue_enter_step, 5u);
-  EXPECT_EQ(a.charged_tokens, 0u);
   EXPECT_EQ(a.reserved_blocks, 0u);
   EXPECT_EQ(a.shard, Sequence::kNoShard);
   EXPECT_EQ(sched.blocks_in_use(), 0u);
-  EXPECT_EQ(sched.tokens_in_use(), 0u);
   EXPECT_EQ(pool.stats().reserved_blocks, 0u);
   // Victim re-queues behind the arrived waiter b but ahead of the future
   // arrival `late`: the starved head gets the freed budget first.
@@ -542,8 +529,7 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
 TEST(BatchScheduler, PickVictimHonorsAgeFloorAndPreemptionCap) {
   mem::BlockPool pool(block_pool_config(1, 32));
   SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
   Sequence a = make_block_seq(16, 0.5);  // arrival 0
   Sequence b = make_block_seq(16, 0.5, 2, 8);
   b.arrival_step = 2;
@@ -578,9 +564,8 @@ TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
   AlwaysFailReserve inject;
   pool.set_fault_injector(&inject);
   SchedulerConfig cfg;
-  cfg.pool = &pool;
   cfg.max_reserve_retries = 3;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
   Sequence s = make_block_seq(16, 0.5);
   sched.submit(&s);
   // Rounds 1..3: fits() says yes, try_reserve loses; the admission rolls
@@ -588,8 +573,8 @@ TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_TRUE(sched.admit(0).empty());
     EXPECT_EQ(s.status, SequenceStatus::kWaiting);
-    EXPECT_EQ(s.charged_tokens, 0u);
-    EXPECT_EQ(sched.tokens_in_use(), 0u);
+    EXPECT_EQ(s.reserved_blocks, 0u);
+    EXPECT_EQ(sched.blocks_in_use(), 0u);
     EXPECT_EQ(sched.waiting_count(), 1u);
   }
   EXPECT_EQ(sched.reservation_retries(), 3u);

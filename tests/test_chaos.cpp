@@ -76,7 +76,6 @@ EngineConfig chaos_config(const std::vector<Request>& requests,
                           double fraction) {
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.enabled = true;
   ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   std::size_t demand_blocks = 0;
@@ -131,9 +130,8 @@ TEST(Chaos, FaultsNeverLeakBlocksOrLoseDefiniteOutcomes) {
     expect_definite_outcomes(requests, responses);
 
     // Invariant 3: nothing leaked, whatever the interleaving.
-    ASSERT_NE(engine.pool(), nullptr);
-    EXPECT_EQ(engine.pool()->stats().used_blocks, 0u) << "seed " << seed;
-    EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u) << "seed " << seed;
+    EXPECT_EQ(engine.pool().stats().used_blocks, 0u) << "seed " << seed;
+    EXPECT_EQ(engine.pool().stats().reserved_blocks, 0u) << "seed " << seed;
 
     // Invariant 4: normal finishers are token-exact against a fault-free
     // solo run — faults delay work, they never corrupt it.
@@ -178,8 +176,8 @@ TEST(Chaos, TotalReservationFailureStillTerminatesEveryRequest) {
     EXPECT_FALSE(r.error.empty());
     EXPECT_TRUE(r.tokens.empty());
   }
-  EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
-  EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().used_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().reserved_blocks, 0u);
 }
 
 TEST(Chaos, AllocateFaultsForceParksButStreamsStayExact) {
@@ -198,8 +196,8 @@ TEST(Chaos, AllocateFaultsForceParksButStreamsStayExact) {
   const auto responses = engine.run(requests);
   engine.set_fault_injector(nullptr);
   expect_definite_outcomes(requests, responses);
-  EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
-  EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().used_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().reserved_blocks, 0u);
   EXPECT_GT(injector.allocate_failures(), 0u);
   for (std::size_t i = 0; i < responses.size(); ++i) {
     if (responses[i].finish != FinishReason::kLength) continue;

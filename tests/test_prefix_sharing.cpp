@@ -74,7 +74,6 @@ EngineConfig paged_config(kv::PolicyKind kind, bool prefix_on,
   EngineConfig ec;
   ec.policy.kind = kind;
   ec.scheduler.max_batch_size = 4;
-  ec.paged.enabled = true;
   ec.paged.n_shards = n_shards;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = prefix_on;
@@ -202,9 +201,8 @@ TEST(PrefixSharing, RandomizedChurnLeaksNoBlocksOrRefcounts) {
     }
     engine.run(requests);
 
-    ASSERT_NE(engine.pool(), nullptr);
     ASSERT_NE(engine.prefix_index(), nullptr);
-    const mem::PoolStats ps = engine.pool()->stats();
+    const mem::PoolStats ps = engine.pool().stats();
     const std::size_t held = engine.prefix_index()->blocks_held();
     EXPECT_EQ(ps.used_blocks, held) << "round " << round;
     EXPECT_EQ(ps.reserved_blocks, held) << "round " << round;
@@ -212,18 +210,14 @@ TEST(PrefixSharing, RandomizedChurnLeaksNoBlocksOrRefcounts) {
   }
 
   engine.clear_prefix_cache();
-  const mem::PoolStats ps = engine.pool()->stats();
+  const mem::PoolStats ps = engine.pool().stats();
   EXPECT_EQ(engine.prefix_index()->blocks_held(), 0u);
   EXPECT_EQ(ps.used_blocks, 0u);
   EXPECT_EQ(ps.reserved_blocks, 0u);
 }
 
-TEST(PrefixSharing, RequiresPagedMemoryAndUndampedScores) {
+TEST(PrefixSharing, RequiresUndampedScores) {
   Transformer model(tiny_config());
-  EngineConfig ec;
-  ec.prefix.enabled = true;
-  EXPECT_THROW(Engine(model, ec), std::invalid_argument);
-
   EngineConfig damped = paged_config(kv::PolicyKind::kKeyformer, true);
   damped.policy.keyformer.score.damping = 0.95;
   EXPECT_THROW(Engine(model, damped), std::invalid_argument);
@@ -302,6 +296,35 @@ TEST(PrefixSharing, StaggeredArrivalsNeverChargeMoreThanUnshared) {
   on.run(requests);
   EXPECT_LE(on.stats().max_blocks_in_use, off.stats().max_blocks_in_use);
   EXPECT_GE(on.stats().prefix_hits, 1u);
+}
+
+TEST(PrefixSharing, FragmentationCountsPrivateTailsOfAdopters) {
+  // One shard, 8-token blocks, 2 layers, full attention (no eviction, so
+  // the cache grows one row per step). Run 1 inserts a 32-token context
+  // (4 blocks/layer); run 2's request adopts it and prefills its 8-token
+  // tail into one private block per layer. The occupancy sample before
+  // each decode step then sees, per layer, 4 shared + ceil(size/8) - 4
+  // private blocks:
+  //   step 0: 40 rows, 1 private block, 0 empty slots  -> 0
+  //   step 1: 41 rows, 2 private blocks, 7 empty slots -> 14/32 = 0.4375
+  //   step 2: 42 rows, 2 private blocks, 6 empty slots -> 12/32 = 0.375
+  // Shared chain blocks are whole, so they add no slack; the index's
+  // copies of them are excluded from the used slots.
+  Transformer model(tiny_config());
+  Engine engine(model, paged_config(kv::PolicyKind::kFull, true,
+                                    /*n_shards=*/1));
+  auto requests = shared_context_requests(1, 32);
+  requests[0].gen.max_new_tokens = 4;  // first token + 3 decode steps
+  requests[0].gen.cache_ratio = 1.0;
+  ASSERT_EQ(requests[0].prompt.size(), 40u);
+  engine.run(requests);
+  ASSERT_EQ(engine.prefix_index()->blocks_held(), 8u);
+
+  engine.run(requests);
+  const EngineStats st = engine.stats();
+  ASSERT_EQ(st.prefix_hits, 1u);
+  EXPECT_DOUBLE_EQ(st.max_fragmentation, 14.0 / 32.0);
+  EXPECT_DOUBLE_EQ(st.cur_fragmentation, 12.0 / 32.0);
 }
 
 }  // namespace

@@ -38,55 +38,16 @@ std::vector<Token> make_prompt(std::size_t n, std::uint64_t seed = 0) {
   return p;
 }
 
-/// The classic pre-engine single-sequence loop, kept verbatim as the
-/// golden reference the Engine must reproduce token for token.
-std::vector<Token> reference_generate(Transformer& model,
-                                      std::span<const Token> prompt,
-                                      kv::EvictionPolicy& policy,
-                                      const GenerationConfig& cfg) {
-  policy.set_budget(
-      kv::make_budget(prompt.size(), cfg.cache_ratio, cfg.recent_ratio));
-  kv::SequenceInfo info;
-  info.prompt_len = prompt.size();
-  info.total_steps = cfg.max_new_tokens;
-  info.n_layers = model.config().n_layers;
-  info.n_heads = model.config().n_heads;
-  policy.begin_sequence(info);
-
-  model.reset();
-  const Tensor prompt_logits =
-      model.prefill(prompt, policy, cfg.max_new_tokens);
-
-  std::vector<Token> tokens;
-  const auto recent_window = [&]() -> std::span<const Token> {
-    const std::size_t n = tokens.size();
-    const std::size_t w =
-        cfg.repetition_window == 0 ? n : std::min(n, cfg.repetition_window);
-    return {tokens.data() + (n - w), w};
-  };
-
-  Token next = model::select_greedy(prompt_logits.row(prompt.size() - 1),
-                                    recent_window(), cfg.repetition_penalty,
-                                    cfg.banned_tokens);
-  for (std::size_t t = 1; t <= cfg.max_new_tokens; ++t) {
-    tokens.push_back(next);
-    if (cfg.eos_token >= 0 && next == cfg.eos_token) break;
-    if (tokens.size() >= cfg.max_new_tokens) break;
-    const std::size_t position = prompt.size() + t - 1;
-    const std::vector<float> logits =
-        model.decode(next, position, t, cfg.max_new_tokens, policy);
-    next = model::select_greedy(logits, recent_window(),
-                                cfg.repetition_penalty, cfg.banned_tokens);
-  }
-  return tokens;
-}
-
 class EngineParity
     : public ::testing::TestWithParam<
-          std::tuple<PositionalKind, kv::PolicyKind>> {};
+          std::tuple<PositionalKind, kv::PolicyKind, std::size_t>> {};
 
-TEST_P(EngineParity, BatchOfOneMatchesReferenceLoopTokenExactly) {
-  const auto [pos, kind] = GetParam();
+TEST_P(EngineParity, BatchOfOneMatchesGenerateTokenExactly) {
+  // The paged engine must reproduce model::generate — the direct loop on
+  // the model's contiguous default state — token for token, for every
+  // policy x positional family x shard count, across block sizes that do
+  // and don't divide the cache lengths; and return every block after.
+  const auto [pos, kind, n_shards] = GetParam();
   Transformer model(tiny_config(pos));
 
   GenerationConfig g;
@@ -96,24 +57,32 @@ TEST_P(EngineParity, BatchOfOneMatchesReferenceLoopTokenExactly) {
 
   auto ref_policy = kv::make_policy(kind);
   const std::vector<Token> expected =
-      reference_generate(model, prompt, *ref_policy, g);
+      model::generate(model, prompt, *ref_policy, g).tokens;
 
-  EngineConfig ec;
-  ec.policy.kind = kind;
-  Engine engine(model, ec);
   Request req;
   req.prompt = prompt;
   req.gen = g;
-  const auto responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].tokens, expected);
-  EXPECT_EQ(responses[0].prompt_len, prompt.size());
-  EXPECT_EQ(responses[0].finish, FinishReason::kLength);
-  EXPECT_GT(responses[0].prefill_seconds, 0.0);
+  for (const std::size_t block_tokens : {3, 16}) {
+    EngineConfig ec;
+    ec.policy.kind = kind;
+    ec.paged.n_shards = n_shards;
+    ec.paged.block_tokens = block_tokens;
+    Engine engine(model, ec);
+    const auto responses = engine.run({&req, 1});
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].tokens, expected)
+        << "block_tokens " << block_tokens;
+    EXPECT_EQ(responses[0].prompt_len, prompt.size());
+    EXPECT_EQ(responses[0].finish, FinishReason::kLength);
+    EXPECT_GT(responses[0].prefill_seconds, 0.0);
+    EXPECT_EQ(engine.pool().stats().used_blocks, 0u)
+        << "blocks leaked at block_tokens " << block_tokens;
+    EXPECT_GT(engine.stats().pool_peak_used_blocks, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesTimesFamilies, EngineParity,
+    PoliciesTimesFamiliesTimesShards, EngineParity,
     ::testing::Combine(::testing::Values(PositionalKind::kRoPE,
                                          PositionalKind::kALiBi,
                                          PositionalKind::kLearned),
@@ -122,15 +91,17 @@ INSTANTIATE_TEST_SUITE_P(
                                          kv::PolicyKind::kRandom,
                                          kv::PolicyKind::kStreamingLLM,
                                          kv::PolicyKind::kH2O,
-                                         kv::PolicyKind::kKeyformer)),
+                                         kv::PolicyKind::kKeyformer),
+                       ::testing::Values(std::size_t{1}, std::size_t{2})),
     [](const auto& info) {
       return to_string(std::get<0>(info.param)) + "_" +
-             kv::to_string(std::get<1>(info.param));
+             kv::to_string(std::get<1>(info.param)) + "_" +
+             std::to_string(std::get<2>(info.param)) + "shard";
     });
 
-TEST(Engine, GenerateIsABatchOfOneClient) {
-  // generate() routes through the Engine; its result must carry the same
-  // tokens as a direct engine run with the same policy configuration.
+TEST(Engine, GenerateMatchesEngineRun) {
+  // generate() and a direct engine run with the same policy configuration
+  // carry the same tokens and the same per-layer final cache sizes.
   Transformer model(tiny_config());
   GenerationConfig g;
   g.max_new_tokens = 10;
@@ -148,6 +119,32 @@ TEST(Engine, GenerateIsABatchOfOneClient) {
   req.gen = g;
   const auto responses = engine.run({&req, 1});
   EXPECT_EQ(responses[0].tokens, direct.tokens);
+  EXPECT_EQ(responses[0].final_cache_sizes, direct.final_cache_sizes);
+  EXPECT_EQ(responses[0].peak_cache_tokens, direct.peak_cache_tokens);
+}
+
+TEST(Engine, DefaultConfigPagesOnOneUnboundedShard) {
+  Transformer model(tiny_config());
+  Engine engine(model, EngineConfig{});
+  EXPECT_EQ(engine.pool().n_shards(), 1u);
+  EXPECT_EQ(engine.pool().stats().capacity_blocks, 0u);  // unbounded
+  Request req;
+  req.prompt = make_prompt(20);
+  req.gen.max_new_tokens = 4;
+  const auto responses = engine.run({&req, 1});
+  EXPECT_EQ(responses[0].tokens.size(), 4u);
+  EXPECT_GT(engine.stats().pool_peak_used_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().used_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().reserved_blocks, 0u);
+}
+
+TEST(Engine, RejectsDisabledPagedMemory) {
+  // Paging is the only storage; the flag survives only so configurations
+  // that set it keep compiling, and switching it off is refused.
+  Transformer model(tiny_config());
+  EngineConfig ec;
+  ec.paged.enabled = false;
+  EXPECT_THROW(Engine(model, ec), std::invalid_argument);
 }
 
 TEST(Engine, MixedBatchSequencesDoNotPerturbEachOther) {
@@ -178,7 +175,9 @@ TEST(Engine, MixedBatchSequencesDoNotPerturbEachOther) {
   const auto mixed = engine.run(requests);
   ASSERT_EQ(mixed.size(), requests.size());
   EXPECT_LE(engine.stats().max_batch, 4u);
-  EXPECT_LE(engine.stats().max_tokens_in_use, 120u);
+  // The 120-token budget is 2 layers x ceil(120/16) = 16 pool blocks.
+  EXPECT_EQ(engine.stats().pool_capacity_blocks, 16u);
+  EXPECT_LE(engine.stats().max_blocks_in_use, 16u);
   EXPECT_GT(engine.stats().decoded_tokens, 0u);
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -311,43 +310,11 @@ TEST(Engine, RejectsEmptyPromptAndBatchKeepsDecoding) {
   EXPECT_EQ(engine.stats().rejections, 1u);
 }
 
-TEST(Engine, RejectsExternalKvStateWithWrongGeometry) {
-  Transformer model(tiny_config());  // 2 layers, 2 heads, d_head 8
-  Engine engine(model, EngineConfig{});
-  Request req;
-  req.prompt = make_prompt(8);
-  req.gen.max_new_tokens = 2;
-
-  // Wrong layer count.
-  kv::SequenceKvState wrong_layers(1, 2, 8);
-  req.kv_state = &wrong_layers;
-  auto responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].finish, FinishReason::kRejected);
-  EXPECT_FALSE(responses[0].error.empty());
-
-  // Same layer count and same row width (4x4 == 2x8 == 16 floats), but a
-  // different head split — must be rejected, not silently misread.
-  kv::SequenceKvState wrong_split(2, 4, 4);
-  req.kv_state = &wrong_split;
-  responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].finish, FinishReason::kRejected);
-
-  // Matching geometry passes.
-  kv::SequenceKvState ok(2, 2, 8);
-  req.kv_state = &ok;
-  responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_NE(responses[0].finish, FinishReason::kRejected);
-  EXPECT_EQ(responses[0].tokens.size(), 2u);
-}
-
-TEST(Engine, RejectsSharedKvStateOrPolicyAcrossRequests) {
-  // Two live requests on one kv_state (or one policy) would clobber each
-  // other's caches/score state; the engine rejects the duplicates up
-  // front (first claimant wins) instead of failing deep inside
-  // step_batch after wasted prefill work.
+TEST(Engine, RejectsSharedPolicyAcrossRequests) {
+  // Two live requests on one policy would clobber each other's score
+  // state; the engine rejects the duplicates up front (first claimant
+  // wins) instead of failing deep inside step_batch after wasted prefill
+  // work.
   Transformer model(tiny_config());
   Engine engine(model, EngineConfig{});
   std::vector<Request> requests(2);
@@ -356,73 +323,23 @@ TEST(Engine, RejectsSharedKvStateOrPolicyAcrossRequests) {
   requests[1].prompt = make_prompt(8, 1);
   requests[1].gen.max_new_tokens = 2;
 
-  kv::SequenceKvState shared(2, 2, 8);
-  requests[0].kv_state = &shared;
-  requests[1].kv_state = &shared;
-  auto responses = engine.run(requests);
+  auto shared_policy = kv::make_policy(kv::PolicyKind::kKeyformer);
+  requests[0].policy = shared_policy.get();
+  requests[1].policy = shared_policy.get();
+  const auto responses = engine.run(requests);
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_NE(responses[0].finish, FinishReason::kRejected);  // first wins
   EXPECT_EQ(responses[0].tokens.size(), 2u);
   EXPECT_EQ(responses[1].finish, FinishReason::kRejected);
   EXPECT_FALSE(responses[1].error.empty());
-
-  requests[0].kv_state = nullptr;
-  requests[1].kv_state = nullptr;
-  auto shared_policy = kv::make_policy(kv::PolicyKind::kKeyformer);
-  requests[0].policy = shared_policy.get();
-  requests[1].policy = shared_policy.get();
-  responses = engine.run(requests);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_NE(responses[0].finish, FinishReason::kRejected);
-  EXPECT_EQ(responses[1].finish, FinishReason::kRejected);
-  EXPECT_FALSE(responses[1].error.empty());
 }
 
-// ---------------------------------------------------------------------------
-// Paged KV memory mode.
-
-TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
-  // The paged allocator must be invisible to generation: same requests,
-  // same tokens, for every policy x positional family, across block sizes
-  // that do and don't divide the cache lengths.
-  const auto [pos, kind] = GetParam();
-  Transformer model(tiny_config(pos));
-
-  GenerationConfig g;
-  g.max_new_tokens = 12;
-  g.cache_ratio = kind == kv::PolicyKind::kFull ? 1.0 : 0.5;
-  const auto prompt = make_prompt(32);
-
-  EngineConfig contiguous_cfg;
-  contiguous_cfg.policy.kind = kind;
-  Engine contiguous(model, contiguous_cfg);
-  Request req;
-  req.prompt = prompt;
-  req.gen = g;
-  const auto expected = contiguous.run({&req, 1});
-
-  for (const std::size_t block_tokens : {3, 16}) {
-    EngineConfig pc = contiguous_cfg;
-    pc.paged.enabled = true;
-    pc.paged.n_shards = 2;
-    pc.paged.block_tokens = block_tokens;
-    Engine paged(model, pc);
-    const auto got = paged.run({&req, 1});
-    EXPECT_EQ(got[0].tokens, expected[0].tokens)
-        << "block_tokens " << block_tokens;
-    ASSERT_NE(paged.pool(), nullptr);
-    EXPECT_EQ(paged.pool()->stats().used_blocks, 0u)
-        << "blocks leaked at block_tokens " << block_tokens;
-    EXPECT_GT(paged.stats().pool_peak_used_blocks, 0u);
-  }
-}
-
-TEST(Engine, PagedMixedBatchMatchesContiguousAndLeaksNothing) {
+TEST(Engine, PagedMixedBatchMatchesGenerateAndLeaksNothing) {
   // Randomized admit/retire churn under a real block cap: staggered
-  // arrivals, mixed lengths, sequences joining as others retire. Token
-  // streams must match the contiguous engine run for run, and after the
-  // run every block must be back on the free lists with no reservations
-  // left — the no-leak half of the acceptance criteria.
+  // arrivals, mixed lengths, sequences joining as others retire. Every
+  // token stream must match model::generate of the same request, and
+  // after the run every block must be back on the free lists with no
+  // reservations left — the no-leak half of the acceptance criteria.
   Transformer model(tiny_config());
   Rng rng(321);
   std::vector<Request> requests;
@@ -440,24 +357,21 @@ TEST(Engine, PagedMixedBatchMatchesContiguousAndLeaksNothing) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = 4;
   ec.scheduler.max_concurrent_tokens = 120;
-  Engine contiguous(model, ec);
-  const auto expected = contiguous.run(requests);
-
-  EngineConfig pc = ec;
-  pc.paged.enabled = true;
-  pc.paged.n_shards = 2;
-  pc.paged.block_tokens = 8;
-  Engine paged(model, pc);
+  ec.paged.n_shards = 2;
+  ec.paged.block_tokens = 8;
+  Engine paged(model, ec);
   const auto got = paged.run(requests);
 
-  ASSERT_EQ(got.size(), expected.size());
+  ASSERT_EQ(got.size(), requests.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    // Block-granular admission can only delay a join (rounding up to
-    // whole blocks), never change a sequence's own tokens.
-    EXPECT_EQ(got[i].tokens, expected[i].tokens) << "req " << i;
+    // Block-granular admission can only delay a join, never change a
+    // sequence's own tokens.
+    auto policy = kv::make_policy(kv::PolicyKind::kKeyformer);
+    const auto expected = model::generate(model, requests[i].prompt,
+                                          *policy, requests[i].gen);
+    EXPECT_EQ(got[i].tokens, expected.tokens) << "req " << i;
   }
-  ASSERT_NE(paged.pool(), nullptr);
-  const mem::PoolStats ps = paged.pool()->stats();
+  const mem::PoolStats ps = paged.pool().stats();
   EXPECT_EQ(ps.used_blocks, 0u) << "leaked blocks";
   EXPECT_EQ(ps.reserved_blocks, 0u) << "leaked reservations";
   EXPECT_GT(paged.stats().max_blocks_in_use, 0u);
@@ -472,39 +386,19 @@ TEST(Engine, PagedModeDerivesPoolCapacityFromTokenBudget) {
   Transformer model(tiny_config());  // 2 layers
   EngineConfig ec;
   ec.scheduler.max_concurrent_tokens = 100;
-  ec.paged.enabled = true;
   ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   Engine engine(model, ec);
-  ASSERT_NE(engine.pool(), nullptr);
   // 2 layers * ceil(100/8)=13 -> 26 blocks, split over 2 shards = 13 each.
-  EXPECT_EQ(engine.pool()->config().blocks_per_shard, 13u);
-  EXPECT_EQ(engine.pool()->stats().capacity_blocks, 26u);
-}
-
-TEST(Engine, PagedModeRejectsExternalKvState) {
-  Transformer model(tiny_config());
-  EngineConfig ec;
-  ec.paged.enabled = true;
-  Engine engine(model, ec);
-  Request req;
-  req.prompt = make_prompt(8);
-  req.gen.max_new_tokens = 2;
-  kv::SequenceKvState external(2, 2, 8);
-  req.kv_state = &external;
-  const auto responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].finish, FinishReason::kRejected);
-  EXPECT_FALSE(responses[0].error.empty());
+  EXPECT_EQ(engine.pool().config().blocks_per_shard, 13u);
+  EXPECT_EQ(engine.pool().stats().capacity_blocks, 26u);
 }
 
 TEST(Engine, GenerateStillWorksWhilePagedEngineExists) {
-  // generate() builds its own contiguous batch-of-one engine; a paged
+  // generate() runs on the model's own contiguous default state; a paged
   // engine on the same model must not disturb it.
   Transformer model(tiny_config());
-  EngineConfig ec;
-  ec.paged.enabled = true;
-  Engine paged(model, ec);
+  Engine paged(model, EngineConfig{});
   GenerationConfig g;
   g.max_new_tokens = 6;
   g.cache_ratio = 0.5;
@@ -558,7 +452,6 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
 
     EngineConfig ec;
     ec.policy.kind = kind;
-    ec.paged.enabled = true;
     ec.paged.n_shards = 1;
     ec.paged.block_tokens = 8;
     // One shard, room for one 32-token prompt (8 blocks) but not two.
@@ -643,7 +536,6 @@ TEST(EngineRobustness, OversizedForShardRejectedRestOfBatchCompletes) {
   requests[1].gen.cache_ratio = 0.5;
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.enabled = true;
   ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
   ec.paged.blocks_per_shard = 8;
@@ -659,8 +551,8 @@ TEST(EngineRobustness, OversizedForShardRejectedRestOfBatchCompletes) {
   const auto solo_resp = solo.run({&requests[1], 1});
   EXPECT_EQ(responses[1].tokens, solo_resp[0].tokens);
   // Nothing leaked: only free blocks remain in the pool.
-  EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
-  EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().used_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().reserved_blocks, 0u);
 }
 
 }  // namespace

@@ -139,7 +139,6 @@ TEST(ServeTimeline, PoolCountersUnderPagedMemory) {
   EngineConfig ec;
   ec.scheduler.max_batch_size = 2;
   ec.scheduler.max_concurrent_tokens = 256;
-  ec.paged.enabled = true;
   ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   Engine engine(m, ec);
@@ -203,7 +202,6 @@ TEST(ServeTimeline, PreemptThenTimeoutKeepsOrderedStamps) {
   requests[1].arrival_step = 4;  // starved behind request 0
 
   EngineConfig ec;
-  ec.paged.enabled = true;
   ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
   ec.paged.blocks_per_shard = 10;  // one 32-token prompt fits, not two
@@ -281,7 +279,6 @@ TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
   requests[0].gen.cache_ratio = 1.0;
 
   EngineConfig ec;
-  ec.paged.enabled = true;
   ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
   ec.preempt.max_per_sequence = 2;
@@ -304,8 +301,7 @@ TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
   EXPECT_LE(*r.timeline.first(TimelineEventKind::kPreempted),
             *r.timeline.first(TimelineEventKind::kResumed));
   // Containment released every block: nothing may leak past the run.
-  ASSERT_NE(engine.pool(), nullptr);
-  EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
+  EXPECT_EQ(engine.pool().stats().used_blocks, 0u);
 }
 
 TEST(ServeTimeline, ZeroGeneratedTokensHasNoFirstTokenStamp) {
