@@ -17,6 +17,7 @@ PagedKvCache::PagedKvCache(BlockPool& pool, std::size_t shard)
 
 PagedKvCache::~PagedKvCache() {
   for (const BlockRef ref : blocks_) release_ref(ref);
+  release_spare();
 }
 
 BlockRef PagedKvCache::new_block() {
@@ -113,7 +114,8 @@ void PagedKvCache::append_rows(std::span<const float> k_row,
   const std::size_t t = size();  // metadata not pushed yet: t is our index
   const std::size_t slot = t % bt;
   if (slot == 0) {
-    blocks_.push_back(new_block());
+    blocks_.push_back(spare_ ? *spare_ : new_block());
+    spare_.reset();
     shared_.push_back(false);
   } else if (shared_.back()) {
     // A partially filled shared tail (left by a compact that kept a prefix
@@ -195,11 +197,25 @@ void PagedKvCache::clear_rows() { free_blocks_beyond(0); }
 void PagedKvCache::free_blocks_beyond(std::size_t live_tokens) {
   const std::size_t bt = pool_.block_tokens();
   const std::size_t live_blocks = (live_tokens + bt - 1) / bt;
+  // Only a non-empty chain ending on a block boundary opens a block on its
+  // next append, so only such a chain keeps (or takes) a spare.
+  const bool boundary = live_tokens > 0 && live_tokens % bt == 0;
+  if (!boundary) release_spare();
   while (blocks_.size() > live_blocks) {
-    release_ref(blocks_.back());
+    const BlockRef ref = blocks_.back();
+    if (boundary && !spare_ && !shared_.back() && !is_emergency(ref)) {
+      spare_ = ref;
+    } else {
+      release_ref(ref);
+    }
     blocks_.pop_back();
     shared_.pop_back();
   }
+}
+
+void PagedKvCache::release_spare() {
+  if (spare_) pool_.release(*spare_);
+  spare_.reset();
 }
 
 }  // namespace kf::mem

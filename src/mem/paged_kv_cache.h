@@ -8,12 +8,21 @@
 // contiguous paths are bit-exact (pinned by the parity property tests).
 //
 // Chain invariant: blocks_.size() == ceil(size() / block_tokens) — the
-// tail block is the only partially filled one and a fully-drained block is
-// returned to the pool immediately (compact frees emptied tail blocks,
-// clear and the destructor free everything). Freed memory therefore goes
-// back to the *shared* shard free list, where the scheduler's admission
-// reservations can hand it to another sequence — the mechanism that turns
-// Keyformer's discarded tokens into serving capacity.
+// tail block is the only partially filled one and fully-drained blocks go
+// back to the pool (compact frees emptied tail blocks, clear and the
+// destructor free everything). Freed memory therefore goes back to the
+// *shared* shard free list, where the scheduler's admission reservations
+// can hand it to another sequence — the mechanism that turns Keyformer's
+// discarded tokens into serving capacity.
+//
+// One exception, the spare: when a compact leaves a non-empty chain that
+// ends exactly on a block boundary, the cache keeps one drained private
+// pool block for its next append, which would otherwise open a fresh one.
+// At a budget k that is a multiple of block_tokens every decode step
+// appends the (k+1)-th token and evicts back to k, so without the spare
+// each step allocates and frees one block per layer. Chain plus spare is
+// then ceil((size()+1) / block_tokens) blocks, inside the k+1 tokens per
+// layer admission reserves; clear and the destructor release it.
 //
 // No-throw growth: append_rows and the copy-on-write path run inside the
 // batched decode step's parallel_for workers, where an escaping exception
@@ -41,6 +50,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "kvcache/kv_cache.h"
@@ -59,8 +69,11 @@ class PagedKvCache final : public kv::KvCache {
   PagedKvCache& operator=(const PagedKvCache&) = delete;
 
   std::size_t shard() const noexcept { return shard_; }
-  /// Blocks currently held (== ceil(size()/block_tokens)).
+  /// Chain blocks currently held (== ceil(size()/block_tokens)).
   std::size_t blocks_held() const noexcept { return blocks_.size(); }
+  /// Pool blocks held beyond the chain: 1 while a drained block is kept as
+  /// the spare (only when size() is a non-zero multiple of block_tokens).
+  std::size_t spare_blocks() const noexcept { return spare_ ? 1 : 0; }
   std::size_t block_tokens() const noexcept { return pool_.block_tokens(); }
 
   /// The block chain backing this cache, in token order.
@@ -117,7 +130,10 @@ class PagedKvCache final : public kv::KvCache {
     return ref.shard == kEmergencyShard;
   }
 
+  /// Releases the chain blocks past `live_tokens`, keeping one as the
+  /// spare when the chain then ends on a block boundary.
   void free_blocks_beyond(std::size_t live_tokens);
+  void release_spare();
   /// Replaces a (possibly) shared chain block with a private copy before a
   /// write; no-op beyond unmarking when this cache is the last reader.
   void cow_block(std::size_t chain_idx);
@@ -136,6 +152,9 @@ class PagedKvCache final : public kv::KvCache {
   /// shared_[i]: blocks_[i] was adopted and may still have other readers —
   /// mutations must go through cow_block() first. Parallel to blocks_.
   std::vector<bool> shared_;
+  /// The drained block kept for the next block-opening append (private
+  /// and pool-backed; see the header comment).
+  std::optional<BlockRef> spare_;
   /// Emergency heap payloads (64-byte aligned like pool slabs), indexed
   /// by the ref id; slots null once released. Only this cache ever sees
   /// these blocks — they are invisible to the pool, the scheduler, and

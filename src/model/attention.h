@@ -18,18 +18,20 @@
 // takes effect for caches (re)filled after the switch — callers reset the
 // cache between mode changes (all in-repo callers do).
 //
-// Three execution paths produce identical results (within float rounding):
-//   - attention_forward_general: any n_q (prefill, multi-token chunks);
-//   - attention_decode: the fused single-query fast path — matvec QKV and
-//     output projections, per-head dots streaming the cache's contiguous
-//     head-major key segments (one per head for the classic arena, one per
-//     block for a paged cache), and a single fused pass doing softmax +
-//     weighted-value accumulation per head;
-//   - attention_decode_batch: N independent sequences decoding one token
-//     each — one QKV/output projection GEMM across the batch, then the
-//     fused per-head attend over each sequence's own cache in parallel.
-// attention_forward dispatches between the first two (cfg.decode_fast_path);
-// the batch entry point is driven by Transformer::step_batch.
+// Two kernels, one per phase:
+//   - attention_forward: any n_q continuing the sequence (prefill, prompt
+//     chunks) — blocked QKV/output projection GEMMs, per-(query, head)
+//     dots against the cache, causal masking on original order;
+//   - attention_decode_batch: one new token for each of N independent
+//     sequences, N >= 1 — every decode token runs it, solo or batched.
+//     Per-row matvec QKV/output projections, then the fused per-head
+//     attend over each sequence's own cache (per-head dots streaming the
+//     cache's contiguous head-major key segments, one per head for the
+//     classic arena and one per block for a paged cache, and one pass
+//     doing softmax + weighted-value accumulation), parallel across
+//     sequences. A row's arithmetic never depends on the batch it shares,
+//     so a sequence's decode logits are bit-identical at any batch size.
+// The two agree within float rounding (~1e-5, parity-tested).
 #pragma once
 
 #include <cstddef>
@@ -56,33 +58,18 @@ struct AttentionResult {
 struct AttentionTimings {
   double project_seconds = 0.0;  ///< QKV + output projections
   double attend_seconds = 0.0;   ///< KV append + dots + softmax + weighted
-                                 ///< values (same split on decode fast
-                                 ///< path, batched, and general paths)
+                                 ///< values (same split on the prompt and
+                                 ///< decode kernels)
 };
 
 /// Projects `x` (n_q rows that continue the sequence) to Q/K/V, appends the
 /// new K/V rows to `cache` at `q_positions` (strictly increasing original
-/// positions), then attends each query against the full cache. Dispatches
-/// to the fused decode path when n_q == 1 and cfg.decode_fast_path is set.
+/// positions), then attends each query against the full cache.
 AttentionResult attention_forward(const ModelConfig& cfg,
                                   const LayerWeights& w, const Tensor& x,
                                   std::span<const std::size_t> q_positions,
                                   kv::KvCache& cache,
                                   AttentionTimings* timings = nullptr);
-
-/// The general blocked path for any n_q (always available — the reference
-/// the fast path is parity-tested against).
-AttentionResult attention_forward_general(
-    const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const std::size_t> q_positions, kv::KvCache& cache,
-    AttentionTimings* timings = nullptr);
-
-/// Fused single-query decode kernel. Requires x.dim(0) == 1; `q_position`
-/// must exceed every cached original position.
-AttentionResult attention_decode(const ModelConfig& cfg,
-                                 const LayerWeights& w, const Tensor& x,
-                                 std::size_t q_position, kv::KvCache& cache,
-                                 AttentionTimings* timings = nullptr);
 
 /// One sequence's slot in a batched decode step: the new token's original
 /// sequence position and the sequence's own cache for this layer.
@@ -91,16 +78,12 @@ struct DecodeBatchSlot {
   kv::KvCache* cache = nullptr;
 };
 
-/// Fused multi-sequence decode kernel: one QKV projection GEMM and one
-/// output projection GEMM across the B rows of `x` ([B, d_model], one row
-/// per sequence), with each sequence's append + per-head fused attention
-/// running against its *own* cache, parallelized across sequences. Row b of
-/// the projections accumulates in the same order as the single-sequence
-/// path, and sequences never read each other's caches, so each slot's
-/// result is independent of what else shares the batch. A batch of one
-/// dispatches through attention_forward, and with cfg.decode_fast_path off
-/// every row falls back to the general per-row kernel, so a sequence's
-/// numerics never depend on batch composition under either config.
+/// The decode kernel: one new token per sequence, the B rows of `x`
+/// ([B, d_model], one row per slot, B >= 1). Each row is projected with its
+/// own matvec, appended to and attended against its slot's *own* cache
+/// (parallel across slots; callers guarantee distinct caches), then
+/// projected through W_o. No step mixes rows, so each slot's result is
+/// bit-identical to decoding that sequence alone.
 std::vector<AttentionResult> attention_decode_batch(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
     std::span<const DecodeBatchSlot> slots,

@@ -43,13 +43,6 @@ struct ModelConfig {
   std::size_t max_seq_len = 4096;
   PositionalKind positional = PositionalKind::kRoPE;
   PositionMode position_mode = PositionMode::kOriginal;
-  /// Route single-query (decode) attention through the fused fast path
-  /// (attention_decode): matvec projections, contiguous head-major key
-  /// scans, one-pass softmax + weighted-value accumulation. Off = always
-  /// use the general blocked path; outputs agree within float rounding
-  /// (parity-tested at 1e-5), so this is a performance switch, not a
-  /// semantics switch.
-  bool decode_fast_path = true;
   WeightStyle weight_style = WeightStyle::kStructured;
   std::uint64_t weight_seed = 42;
   double rope_base = 10000.0;

@@ -11,8 +11,7 @@ AttentionResult decoder_attention(const ModelConfig& cfg,
                                   const LayerWeights& w, Tensor& x,
                                   std::span<const std::size_t> positions,
                                   kv::KvCache& cache,
-                                  AttentionTimings* timings,
-                                  bool force_general) {
+                                  AttentionTimings* timings) {
   const std::size_t n_q = x.dim(0);
   const std::size_t d = cfg.d_model;
   assert(x.dim(1) == d);
@@ -23,10 +22,7 @@ AttentionResult decoder_attention(const ModelConfig& cfg,
                normed.row(i));
   }
   AttentionResult attn =
-      force_general
-          ? attention_forward_general(cfg, w, normed, positions, cache,
-                                      timings)
-          : attention_forward(cfg, w, normed, positions, cache, timings);
+      attention_forward(cfg, w, normed, positions, cache, timings);
   add_inplace(x.span(), attn.context.span());
   return attn;
 }

@@ -1,6 +1,10 @@
 // Pre-LayerNorm decoder-layer blocks:
 //   x += W_o * Attention(LN1(x))     (attention block, returns internals)
 //   x += W2 * GELU(W1 * LN2(x) + b1) + b2
+// The attention block has one form per phase: prompt rows run
+// decoder_attention (attention_forward), decode rows run
+// decoder_attention_batch (attention_decode_batch) at every batch size,
+// one included.
 #pragma once
 
 #include <span>
@@ -13,23 +17,21 @@
 
 namespace kf::model {
 
-/// Runs the attention block over `x` ([n_q, d_model] residual-stream rows),
-/// updating `x` in place and returning the attention internals for score
-/// functions / instrumentation. `force_general` pins the general kernel
-/// even for n_q == 1: chunked prompt phases use it so a one-token chunk
-/// runs the same arithmetic a monolithic prefill would have used for that
-/// row (the fused fast path matches the general path only to ~1e-5).
+/// Prompt attention block over `x` ([n_q, d_model] residual-stream rows of
+/// one sequence): LN1, attention_forward, residual add — updating `x` in
+/// place and returning the attention internals for score functions /
+/// instrumentation. Every prompt row (monolithic or chunked) runs this
+/// kernel, so chunking never changes a row's arithmetic.
 AttentionResult decoder_attention(const ModelConfig& cfg,
                                   const LayerWeights& w, Tensor& x,
                                   std::span<const std::size_t> positions,
                                   kv::KvCache& cache,
-                                  AttentionTimings* timings = nullptr,
-                                  bool force_general = false);
+                                  AttentionTimings* timings = nullptr);
 
-/// Batched decode attention block: LN1 per row, one attention_decode_batch
-/// over the per-sequence caches in `slots` (row b of `x` is sequence b's
-/// residual-stream row), residual add per row. Returns the per-sequence
-/// attention internals in slot order.
+/// Decode attention block, for every decode token: LN1 per row, one
+/// attention_decode_batch over the per-sequence caches in `slots` (row b of
+/// `x` is sequence b's residual-stream row), residual add per row. Returns
+/// the per-sequence attention internals in slot order.
 std::vector<AttentionResult> decoder_attention_batch(
     const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
     std::span<const DecodeBatchSlot> slots,
@@ -39,10 +41,10 @@ std::vector<AttentionResult> decoder_attention_batch(
 void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x);
 
 /// decoder_mlp applied to each row of `x` in parallel across rows. Used by
-/// the batched decode step, where rows are independent sequences and the
-/// per-row GEMMs sit below the kernels' internal parallel thresholds (so
-/// decoder_mlp would run the whole batch serially). Per-row numerics are
-/// identical to decoder_mlp.
+/// every decode step, where rows are independent sequences and the per-row
+/// GEMMs sit below the kernels' internal parallel thresholds (so
+/// decoder_mlp would run the whole batch serially). Each row runs exactly
+/// decoder_mlp on a one-row copy, whatever the batch size.
 void decoder_mlp_rows(const ModelConfig& cfg, const LayerWeights& w,
                       Tensor& x);
 

@@ -90,23 +90,20 @@ Tensor Transformer::lm_logits(const Tensor& x) const {
 
 Tensor Transformer::forward(kv::SequenceKvState& state, Tensor x,
                             std::span<const std::size_t> positions,
-                            bool is_prompt, std::size_t t,
                             std::size_t total_steps,
-                            kv::EvictionPolicy& policy, bool force_general) {
+                            kv::EvictionPolicy& policy) {
   const std::size_t n_q = x.dim(0);
   for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
     kv::KvCache& cache = state.layer(layer);
-    AttentionResult attn =
-        decoder_attention(cfg_, weights_.layers[layer], x, positions, cache,
-                          attn_timings_, force_general);
+    AttentionResult attn = decoder_attention(
+        cfg_, weights_.layers[layer], x, positions, cache, attn_timings_);
 
     if (observer_) {
       AttentionObservation obs;
       obs.layer = layer;
       obs.attn = &attn;
       obs.key_positions = cache.original_positions();
-      obs.is_prompt = is_prompt;
-      obs.decode_step = t;
+      obs.is_prompt = true;
       observer_(obs);
     }
 
@@ -117,8 +114,7 @@ Tensor Transformer::forward(kv::SequenceKvState& state, Tensor x,
     ctx.key_len = attn.key_len;
     ctx.logits = attn.logits.span();
     ctx.probs = attn.probs.span();
-    ctx.is_prompt = is_prompt;
-    ctx.decode_step = t;
+    ctx.is_prompt = true;
     ctx.total_steps = total_steps;
     ctx.cache = &cache;
     policy.observe(ctx);
@@ -151,8 +147,7 @@ Tensor Transformer::prefill(kv::SequenceKvState& state,
   std::vector<std::size_t> positions(prompt.size());
   for (std::size_t i = 0; i < prompt.size(); ++i) positions[i] = i;
   Tensor x = embed(prompt, /*first_pos=*/0);
-  return forward(state, std::move(x), positions, /*is_prompt=*/true, /*t=*/0,
-                 total_steps, policy);
+  return forward(state, std::move(x), positions, total_steps, policy);
 }
 
 Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
@@ -180,8 +175,7 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
     positions[i] = first_pos + i;
   }
   Tensor x = embed(tokens, first_pos);
-  return forward(state, std::move(x), positions, /*is_prompt=*/true, /*t=*/0,
-                 total_steps, policy, /*force_general=*/true);
+  return forward(state, std::move(x), positions, total_steps, policy);
 }
 
 std::vector<float> Transformer::decode(Token token, std::size_t position,
@@ -196,11 +190,8 @@ std::vector<float> Transformer::decode(kv::SequenceKvState& state,
                                        std::size_t t,
                                        std::size_t total_steps,
                                        kv::EvictionPolicy& policy) {
-  const Token toks[1] = {token};
-  const std::size_t positions[1] = {position};
-  Tensor x = embed({toks, 1}, position);
-  Tensor logits = forward(state, std::move(x), {positions, 1},
-                          /*is_prompt=*/false, t, total_steps, policy);
+  const DecodeSlot slot{token, position, t, total_steps, &state, &policy};
+  const Tensor logits = step_batch({&slot, 1});
   const auto row = logits.row(0);
   return std::vector<float>(row.begin(), row.end());
 }
@@ -284,11 +275,7 @@ Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
         },
         /*grain=*/1);
 
-    if (b_count > 1) {
-      decoder_mlp_rows(cfg_, weights_.layers[layer], x);
-    } else {
-      decoder_mlp(cfg_, weights_.layers[layer], x);
-    }
+    decoder_mlp_rows(cfg_, weights_.layers[layer], x);
   }
   return lm_logits(x);
 }

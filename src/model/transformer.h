@@ -15,9 +15,12 @@
 // — each prefill/decode/step_batch call names the state it runs against.
 // The no-state overloads operate on a model-owned default state, keeping
 // the classic "one model, one sequence" usage working unchanged.
-// step_batch decodes one token for *each* of N sequences: one QKV/output
-// projection GEMM across the batch, then per-sequence fused attention over
-// each sequence's own cache (see attention_decode_batch).
+//
+// One kernel per phase: prompt rows (prefill, prefill_continue) run the
+// multi-query attention_forward; decode rows run attention_decode_batch.
+// step_batch decodes one token for *each* of N sequences; decode() is
+// step_batch over one slot. So a sequence's decode logits — the inputs its
+// eviction policy scores — are bit-identical at any batch size.
 #pragma once
 
 #include <cstdint>
@@ -110,10 +113,6 @@ class Transformer {
   /// straddle a switch.
   void set_position_mode(PositionMode mode) { cfg_.position_mode = mode; }
 
-  /// Toggles the fused single-query decode path (parity-tested against the
-  /// general path; benches flip it to measure the speedup).
-  void set_decode_fast_path(bool on) { cfg_.decode_fast_path = on; }
-
   /// Prompt phase against the default state. Returns LM logits for every
   /// prompt position, shape [prompt_len, vocab]. `total_steps` is T in
   /// Algorithm 1.
@@ -127,11 +126,11 @@ class Transformer {
   /// Prompt-phase continuation: processes `tokens` (original positions
   /// first_pos..first_pos+n-1) against a state whose every layer already
   /// caches exactly `first_pos` rows — an adopted shared prefix, or the
-  /// earlier chunk of a chunked prefill. Always runs the general
-  /// multi-query attention kernel, so each row's arithmetic is identical
-  /// to the corresponding row of one monolithic prefill over the full
-  /// prompt (the prefix-cache parity contract). Returns LM logits for
-  /// these rows only, shape [tokens.size(), vocab].
+  /// earlier chunk of a chunked prefill. Runs the prompt kernel
+  /// (attention_forward) even for a one-token chunk, so each row's
+  /// arithmetic is identical to the corresponding row of one monolithic
+  /// prefill over the full prompt (the prefix-cache parity contract).
+  /// Returns LM logits for these rows only, shape [tokens.size(), vocab].
   Tensor prefill_continue(kv::SequenceKvState& state,
                           std::span<const Token> tokens,
                           std::size_t first_pos, kv::EvictionPolicy& policy,
@@ -139,7 +138,8 @@ class Transformer {
 
   /// One decode step against the default state: feeds `token` at sequence
   /// position `position` (original coordinates), decode step `t` (1-based).
-  /// Returns the LM logits predicting the next token.
+  /// Returns the LM logits predicting the next token. Runs step_batch over
+  /// one slot.
   std::vector<float> decode(Token token, std::size_t position, std::size_t t,
                             std::size_t total_steps,
                             kv::EvictionPolicy& policy);
@@ -151,21 +151,19 @@ class Transformer {
                             kv::EvictionPolicy& policy);
 
   /// One decode step for each of N independent sequences sharing these
-  /// weights: per layer, one QKV/output projection GEMM across the batch
-  /// and fused per-sequence attention over each slot's own cache (run in
-  /// parallel), each slot's policy observing (and possibly compacting) only
-  /// its own cache. Returns LM logits, shape [N, vocab], row per slot.
-  /// A batch of one follows the exact single-sequence decode path.
+  /// weights: per layer, attention_decode_batch over each slot's own cache
+  /// (attend in parallel), each slot's policy observing (and possibly
+  /// compacting) only its own cache, then the MLP per row. Returns LM
+  /// logits, shape [N, vocab], row per slot. Row b is bit-identical to
+  /// decoding slot b alone (pinned by DecodeIsBitIdenticalAtAnyBatchSize).
   Tensor step_batch(std::span<const DecodeSlot> slots);
 
  private:
-  /// Shared layer stack walk. `x` holds embedded rows; returns LM logits
-  /// for every row. `force_general` pins the general attention kernel
-  /// (chunked prompt phases; see decoder_attention).
+  /// Prompt-phase layer stack walk. `x` holds embedded prompt rows at
+  /// `positions`; returns LM logits for every row.
   Tensor forward(kv::SequenceKvState& state, Tensor x,
-                 std::span<const std::size_t> positions, bool is_prompt,
-                 std::size_t t, std::size_t total_steps,
-                 kv::EvictionPolicy& policy, bool force_general = false);
+                 std::span<const std::size_t> positions,
+                 std::size_t total_steps, kv::EvictionPolicy& policy);
 
   Tensor embed(std::span<const Token> tokens, std::size_t first_pos) const;
   /// Embeds one token at `position` directly into `dst` (d_model floats) —

@@ -584,7 +584,8 @@ void Engine::Loop::record_occupancy(std::span<Sequence* const> active) {
   stats_.waiting_sequences = sched_.waiting().size();
   record_peaks();
   // Internal fragmentation this step: the empty slots of every active
-  // cache's partial tail block, over the token slots of the used blocks.
+  // cache's partial tail block and spare block, over the token slots of
+  // the used blocks.
   // The prefix index's retained chains are excluded — they are deliberate
   // caching, not slack. Adopted chains are whole blocks, so sharing adds
   // no slack and nothing is counted twice.
@@ -599,7 +600,8 @@ void Engine::Loop::record_occupancy(std::span<Sequence* const> active) {
   for (const Sequence* seq : active) {
     for (std::size_t l = 0; l < seq->kv->n_layers(); ++l) {
       const mem::PagedKvCache& cache = paged_layer(*seq->kv, l);
-      slack += cache.blocks_held() * bt - cache.size();
+      slack += (cache.blocks_held() + cache.spare_blocks()) * bt -
+               cache.size();
     }
   }
   const std::size_t filled = used_tokens - std::min(slack, used_tokens);

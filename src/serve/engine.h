@@ -86,12 +86,13 @@ struct PrefixCacheConfig {
 /// pressure leaves the queue head starved, the engine parks a victim —
 /// youngest arrival first — releasing its blocks/budget while keeping its
 /// generated tokens; re-admission re-prefills the prompt and replays the
-/// parked tokens step by step, which is token-exact (the decode path is
-/// bit-exact regardless of batch composition, and policies are
-/// deterministic given the sequence seed). The age floor and per-sequence
-/// cap bound the recompute overhead and guarantee forward progress: each
-/// preemption cycle a victim pays for has committed at least
-/// min_victim_age_steps new tokens, at most max_per_sequence times.
+/// parked tokens step by step, which is token-exact (every decode token
+/// runs one kernel whose per-row arithmetic is bit-exact regardless of
+/// batch composition — Transformer.DecodeIsBitIdenticalAtAnyBatchSize —
+/// and policies are deterministic given the sequence seed). The age floor
+/// and per-sequence cap bound the recompute overhead and guarantee forward
+/// progress: each preemption cycle a victim pays for has committed at
+/// least min_victim_age_steps new tokens, at most max_per_sequence times.
 struct PreemptionConfig {
   /// Master switch for pressure-triggered preemption. Forced parking on a
   /// mid-decode allocation failure is always on — a sequence holding
@@ -131,8 +132,9 @@ struct EngineStats {
   std::size_t pool_peak_used_blocks = 0; ///< peak physically held blocks
   std::size_t pool_capacity_blocks = 0;  ///< aggregate cap (0 = unbounded)
   /// Worst per-step internal fragmentation: the empty slots of the active
-  /// caches' partial tail blocks over the token slots of the used blocks
-  /// outside the prefix index — the whole-block surcharge paging pays.
+  /// caches' partial tail and spare blocks over the token slots of the
+  /// used blocks outside the prefix index — the whole-block surcharge
+  /// paging pays.
   double max_fragmentation = 0.0;
   // Prefix-cache visibility (all zero when the prefix cache is disabled):
   std::size_t prefix_hits = 0;    ///< prompts that adopted a shared chain

@@ -195,9 +195,9 @@ TEST(Attention, AlibiBiasFavorsRecencyOnPositionalHead) {
 }
 
 // ---------------------------------------------------------------------------
-// Decode fast-path parity: attention_decode must reproduce the general
-// blocked path within float rounding for every positional family and both
-// position modes, on compacted and uncompacted caches.
+// Decode-kernel parity: a one-slot attention_decode_batch must reproduce
+// the multi-query prompt kernel within float rounding for every positional
+// family and both position modes, on compacted and uncompacted caches.
 // ---------------------------------------------------------------------------
 
 struct ParityCase {
@@ -207,7 +207,7 @@ struct ParityCase {
 
 class DecodeParity : public ::testing::TestWithParam<ParityCase> {};
 
-TEST_P(DecodeParity, FastPathMatchesGeneralPath) {
+TEST_P(DecodeParity, DecodeKernelMatchesPromptKernel) {
   ModelConfig cfg = tiny_config(GetParam().positional);
   cfg.position_mode = GetParam().mode;
   const ModelWeights w = build_weights(cfg);
@@ -216,43 +216,47 @@ TEST_P(DecodeParity, FastPathMatchesGeneralPath) {
   // that scatters slot indices away from original positions.
   const auto prefill_one = [&](kv::KvCache& cache) {
     Tensor x = random_rows(10, cfg.d_model, 21);
-    attention_forward_general(cfg, w.layers[0], x, iota_positions(10), cache);
+    attention_forward(cfg, w.layers[0], x, iota_positions(10), cache);
     cache.compact(std::vector<std::size_t>{0, 1, 5, 7, 8, 9});
   };
-  kv::ContiguousKvCache cache_general(cfg.n_heads, cfg.d_head());
-  kv::ContiguousKvCache cache_fast(cfg.n_heads, cfg.d_head());
-  prefill_one(cache_general);
-  prefill_one(cache_fast);
+  kv::ContiguousKvCache cache_prompt(cfg.n_heads, cfg.d_head());
+  kv::ContiguousKvCache cache_decode(cfg.n_heads, cfg.d_head());
+  prefill_one(cache_prompt);
+  prefill_one(cache_decode);
 
   // Several decode steps so the parity covers growing caches too.
   for (std::size_t step = 0; step < 3; ++step) {
     Tensor q = random_rows(1, cfg.d_model, 22 + step);
     const std::size_t pos = 10 + step;
-    const AttentionResult general = attention_forward_general(
-        cfg, w.layers[0], q, iota_positions(1, pos), cache_general);
-    const AttentionResult fast =
-        attention_decode(cfg, w.layers[0], q, pos, cache_fast);
+    const AttentionResult via_prompt = attention_forward(
+        cfg, w.layers[0], q, iota_positions(1, pos), cache_prompt);
+    const DecodeBatchSlot slot{pos, &cache_decode};
+    const AttentionResult via_decode =
+        std::move(attention_decode_batch(cfg, w.layers[0], q, {&slot, 1})[0]);
 
-    ASSERT_EQ(general.key_len, fast.key_len);
-    for (std::size_t i = 0; i < general.logits.size(); ++i) {
-      EXPECT_NEAR(general.logits.span()[i], fast.logits.span()[i], 1e-5F)
+    ASSERT_EQ(via_prompt.key_len, via_decode.key_len);
+    for (std::size_t i = 0; i < via_prompt.logits.size(); ++i) {
+      EXPECT_NEAR(via_prompt.logits.span()[i], via_decode.logits.span()[i],
+                  1e-5F)
           << "logit " << i << " at step " << step;
     }
-    for (std::size_t i = 0; i < general.probs.size(); ++i) {
-      EXPECT_NEAR(general.probs.span()[i], fast.probs.span()[i], 1e-5F)
+    for (std::size_t i = 0; i < via_prompt.probs.size(); ++i) {
+      EXPECT_NEAR(via_prompt.probs.span()[i], via_decode.probs.span()[i],
+                  1e-5F)
           << "prob " << i << " at step " << step;
     }
-    for (std::size_t i = 0; i < general.context.size(); ++i) {
-      EXPECT_NEAR(general.context.span()[i], fast.context.span()[i], 1e-5F)
+    for (std::size_t i = 0; i < via_prompt.context.size(); ++i) {
+      EXPECT_NEAR(via_prompt.context.span()[i], via_decode.context.span()[i],
+                  1e-5F)
           << "context " << i << " at step " << step;
     }
     // The two caches must also stay identical (same appended K/V rows).
-    ASSERT_EQ(cache_general.size(), cache_fast.size());
+    ASSERT_EQ(cache_prompt.size(), cache_decode.size());
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
-      const auto kg = cache_general.keys_head(h);
-      const auto kff = cache_fast.keys_head(h);
-      for (std::size_t i = 0; i < kg.size(); ++i) {
-        EXPECT_NEAR(kg[i], kff[i], 1e-6F);
+      const auto kp = cache_prompt.keys_head(h);
+      const auto kd = cache_decode.keys_head(h);
+      for (std::size_t i = 0; i < kp.size(); ++i) {
+        EXPECT_NEAR(kp[i], kd[i], 1e-6F);
       }
     }
   }
@@ -270,39 +274,6 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(info.param.positional) + "_" +
              to_string(info.param.mode);
     });
-
-TEST(Attention, DispatchUsesFastPathResult) {
-  // attention_forward on a single row must agree with attention_decode
-  // exactly (it dispatches to it when decode_fast_path is on), and with
-  // the general path when the flag is off.
-  ModelConfig cfg = tiny_config(PositionalKind::kRoPE);
-  const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache a(cfg.n_heads, cfg.d_head());
-  kv::ContiguousKvCache b(cfg.n_heads, cfg.d_head());
-  Tensor x = random_rows(4, cfg.d_model, 31);
-  attention_forward(cfg, w.layers[0], x, iota_positions(4), a);
-  attention_forward(cfg, w.layers[0], x, iota_positions(4), b);
-
-  Tensor q = random_rows(1, cfg.d_model, 32);
-  const AttentionResult via_dispatch =
-      attention_forward(cfg, w.layers[0], q, iota_positions(1, 4), a);
-  const AttentionResult direct = attention_decode(cfg, w.layers[0], q, 4, b);
-  for (std::size_t i = 0; i < via_dispatch.context.size(); ++i) {
-    EXPECT_EQ(via_dispatch.context.span()[i], direct.context.span()[i]);
-  }
-
-  ModelConfig general_cfg = cfg;
-  general_cfg.decode_fast_path = false;
-  kv::ContiguousKvCache c(cfg.n_heads, cfg.d_head());
-  attention_forward(general_cfg, w.layers[0], x, iota_positions(4), c);
-  Tensor q2 = random_rows(1, cfg.d_model, 32);
-  const AttentionResult via_general =
-      attention_forward(general_cfg, w.layers[0], q2, iota_positions(1, 4), c);
-  for (std::size_t i = 0; i < via_general.context.size(); ++i) {
-    EXPECT_NEAR(via_general.context.span()[i], direct.context.span()[i],
-                1e-5F);
-  }
-}
 
 TEST(Attention, RopeKeysStoredPreRotatedUnderOriginalMode) {
   // Under RoPE + kOriginal the cache must hold *rotated* keys (append-time

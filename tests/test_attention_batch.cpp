@@ -32,7 +32,7 @@ Tensor random_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
   return x;
 }
 
-/// A cache pre-filled with `len` tokens through the general path (the same
+/// A cache pre-filled with `len` tokens through the prompt kernel (the same
 /// appends a prefill performs).
 kv::ContiguousKvCache filled_cache(const ModelConfig& cfg, const LayerWeights& w,
                          std::size_t len, std::uint64_t seed) {
@@ -40,7 +40,7 @@ kv::ContiguousKvCache filled_cache(const ModelConfig& cfg, const LayerWeights& w
   Tensor x = random_rows(len, cfg.d_model, seed);
   std::vector<std::size_t> positions(len);
   for (std::size_t i = 0; i < len; ++i) positions[i] = i;
-  attention_forward_general(cfg, w, x, positions, cache);
+  attention_forward(cfg, w, x, positions, cache);
   return cache;
 }
 
@@ -64,16 +64,17 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
   }
   const Tensor xq = random_rows(kBatch, cfg.d_model, 7);
 
-  // Reference: B separate single-query decode calls.
+  // Reference: B separate one-slot decode calls.
   std::vector<AttentionResult> expected;
   for (std::size_t b = 0; b < kBatch; ++b) {
     Tensor row({1, cfg.d_model});
     for (std::size_t j = 0; j < cfg.d_model; ++j) row.row(0)[j] = xq.row(b)[j];
+    const DecodeBatchSlot slot{kPrefill, &single_caches[b]};
     expected.push_back(
-        attention_decode(cfg, w, row, kPrefill, single_caches[b]));
+        std::move(attention_decode_batch(cfg, w, row, {&slot, 1})[0]));
   }
 
-  // Batched: one call, one GEMM per projection.
+  // Batched: one call over all B slots.
   std::vector<DecodeBatchSlot> slots(kBatch);
   for (std::size_t b = 0; b < kBatch; ++b) {
     slots[b] = {kPrefill, &batch_caches[b]};
@@ -84,35 +85,28 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
   for (std::size_t b = 0; b < kBatch; ++b) {
     ASSERT_EQ(results[b].key_len, expected[b].key_len) << "slot " << b;
     for (std::size_t i = 0; i < expected[b].logits.size(); ++i) {
-      EXPECT_NEAR(results[b].logits.span()[i], expected[b].logits.span()[i],
-                  1e-5F)
+      EXPECT_EQ(results[b].logits.span()[i], expected[b].logits.span()[i])
           << "slot " << b << " logit " << i;
     }
     for (std::size_t i = 0; i < expected[b].probs.size(); ++i) {
-      EXPECT_NEAR(results[b].probs.span()[i], expected[b].probs.span()[i],
-                  1e-5F)
+      EXPECT_EQ(results[b].probs.span()[i], expected[b].probs.span()[i])
           << "slot " << b << " prob " << i;
     }
     for (std::size_t i = 0; i < expected[b].context.size(); ++i) {
-      EXPECT_NEAR(results[b].context.span()[i],
-                  expected[b].context.span()[i], 1e-5F)
+      EXPECT_EQ(results[b].context.span()[i], expected[b].context.span()[i])
           << "slot " << b << " ctx " << i;
     }
     // The caches must have evolved identically (same appended row).
     ASSERT_EQ(batch_caches[b].size(), single_caches[b].size());
     const std::size_t last = batch_caches[b].size() - 1;
-    const auto kb = batch_caches[b].key_row(last);
-    const auto ks = single_caches[b].key_row(last);
-    for (std::size_t j = 0; j < kb.size(); ++j) {
-      EXPECT_NEAR(kb[j], ks[j], 1e-6F);
-    }
+    EXPECT_EQ(batch_caches[b].key_row(last), single_caches[b].key_row(last));
   }
 }
 
 TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
   // Sequence S decoded in a batch of 2 and in a batch of 5 (different
   // companions) must produce identical results: sequences never read each
-  // other's caches, and per-row GEMM accumulation is row-independent.
+  // other's caches, and every projection runs one matvec per row.
   const ModelConfig cfg = tiny_config(GetParam());
   const Transformer m(cfg);
   const LayerWeights& w = m.weights().layers[0];
@@ -156,72 +150,6 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, BatchDecodeParity,
                          [](const auto& info) {
                            return to_string(info.param);
                          });
-
-TEST(BatchDecode, BatchOfOneFollowsSingleSequenceDispatch) {
-  // With the fast path disabled, a batch of one must still honor the
-  // general-path dispatch (bit-for-bit the single-sequence decode).
-  ModelConfig cfg = tiny_config();
-  cfg.decode_fast_path = false;
-  const Transformer m(cfg);
-  const LayerWeights& w = m.weights().layers[0];
-
-  kv::ContiguousKvCache a = filled_cache(cfg, w, 8, 5);
-  kv::ContiguousKvCache b = a;
-  const Tensor xq = random_rows(1, cfg.d_model, 11);
-
-  const std::size_t pos[1] = {8};
-  const AttentionResult general =
-      attention_forward(cfg, w, xq, {pos, 1}, a);
-  const DecodeBatchSlot slot{8, &b};
-  const auto batched = attention_decode_batch(cfg, w, xq, {&slot, 1});
-  ASSERT_EQ(batched.size(), 1u);
-  for (std::size_t i = 0; i < general.context.size(); ++i) {
-    EXPECT_EQ(batched[0].context.span()[i], general.context.span()[i]);
-  }
-}
-
-TEST(BatchDecode, FastPathOffBatchUsesGeneralKernelPerRow) {
-  // With the fast path disabled a batch of N must route every row through
-  // the same general kernel it would use solo — bit-for-bit, so a
-  // sequence's numerics never flip with batch composition under either
-  // dispatch config.
-  ModelConfig cfg = tiny_config();
-  cfg.decode_fast_path = false;
-  const Transformer m(cfg);
-  const LayerWeights& w = m.weights().layers[0];
-
-  constexpr std::size_t kBatch = 3;
-  std::vector<kv::ContiguousKvCache> solo;
-  std::vector<kv::ContiguousKvCache> batch;
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    solo.push_back(filled_cache(cfg, w, 6 + b, 50 + b));
-    batch.push_back(solo.back());
-  }
-  const Tensor xq = random_rows(kBatch, cfg.d_model, 13);
-
-  std::vector<AttentionResult> expected;
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    Tensor row({1, cfg.d_model});
-    for (std::size_t j = 0; j < cfg.d_model; ++j) row.row(0)[j] = xq.row(b)[j];
-    const std::size_t pos[1] = {6 + b};
-    expected.push_back(attention_forward(cfg, w, row, {pos, 1}, solo[b]));
-  }
-
-  std::vector<DecodeBatchSlot> slots(kBatch);
-  for (std::size_t b = 0; b < kBatch; ++b) slots[b] = {6 + b, &batch[b]};
-  const auto results = attention_decode_batch(cfg, w, xq, slots);
-  ASSERT_EQ(results.size(), kBatch);
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    for (std::size_t i = 0; i < expected[b].logits.size(); ++i) {
-      EXPECT_EQ(results[b].logits.span()[i], expected[b].logits.span()[i])
-          << "slot " << b << " logit " << i;
-    }
-    for (std::size_t i = 0; i < expected[b].context.size(); ++i) {
-      EXPECT_EQ(results[b].context.span()[i], expected[b].context.span()[i])
-          << "slot " << b << " ctx " << i;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace kf::model

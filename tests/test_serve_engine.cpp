@@ -382,6 +382,32 @@ TEST(Engine, PagedMixedBatchMatchesGenerateAndLeaksNothing) {
   EXPECT_LT(paged.stats().max_fragmentation, 1.0);
 }
 
+TEST(Engine, BlockAlignedBudgetDecodesWithoutPoolAllocations) {
+  // A 32-token prompt at cache_ratio 0.5 keeps k = 16 tokens per layer: two
+  // full 8-token blocks. Each decode step appends token k+1 (opening a
+  // block) and evicts back to k (draining it), so the drained block must
+  // be kept as the cache's spare rather than round-tripping through the
+  // pool: the decode steps add no pool.allocs at all.
+  Transformer model(tiny_config());
+  const auto allocs_for = [&](std::size_t max_new_tokens) {
+    std::vector<Request> requests(1);
+    requests[0].prompt = make_prompt(32);
+    requests[0].gen.max_new_tokens = max_new_tokens;
+    requests[0].gen.cache_ratio = 0.5;
+    EngineConfig ec;
+    ec.policy.kind = kv::PolicyKind::kKeyformer;
+    ec.paged.block_tokens = 8;
+    Engine engine(model, ec);
+    const auto got = engine.run(requests);
+    EXPECT_EQ(got[0].tokens.size(), max_new_tokens);
+    EXPECT_EQ(engine.pool().stats().used_blocks, 0u) << "leaked blocks";
+    return engine.metrics().counter("pool.allocs").value();
+  };
+  const std::uint64_t prefill_only = allocs_for(1);  // no decode step
+  EXPECT_GT(prefill_only, 0u);
+  EXPECT_EQ(allocs_for(9), prefill_only);  // 8 decode steps
+}
+
 TEST(Engine, PagedModeDerivesPoolCapacityFromTokenBudget) {
   Transformer model(tiny_config());  // 2 layers
   EngineConfig ec;

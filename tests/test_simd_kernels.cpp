@@ -285,7 +285,8 @@ std::vector<model::Token> make_prompt(std::size_t n) {
   return p;
 }
 
-/// One fused decode attention step over a deterministically filled cache.
+/// One decode-kernel step (one-slot attention_decode_batch) over a
+/// deterministically filled cache.
 model::AttentionResult attend_once(const model::ModelConfig& cfg,
                                    kv::KvCache& cache, std::size_t ctx) {
   const model::ModelWeights w = model::build_weights(cfg);
@@ -297,9 +298,9 @@ model::AttentionResult attend_once(const model::ModelConfig& cfg,
   }
   Tensor x({1, cfg.d_model});
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
-  const std::size_t positions[1] = {ctx};
-  return model::attention_forward(cfg, w.layers[0], x, {positions, 1},
-                                  cache);
+  const model::DecodeBatchSlot slot{ctx, &cache};
+  return std::move(
+      model::attention_decode_batch(cfg, w.layers[0], x, {&slot, 1})[0]);
 }
 
 void expect_attention_parity(const model::AttentionResult& got,

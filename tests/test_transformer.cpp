@@ -160,47 +160,101 @@ TEST(Transformer, LogitsAreFinite) {
   }
 }
 
-TEST(Transformer, DecodeFastPathMatchesGeneralPathEndToEnd) {
-  // Full-stack golden parity: prefill + several decode steps through every
-  // layer, with Keyformer eviction active, driving the same token stream
-  // through a fast-path model and a general-path model. LM logits must
+TEST(Transformer, DecodeKernelMatchesPromptKernelEndToEnd) {
+  // Full-stack golden parity between the two attention kernels: the same
+  // token stream fed through every layer of one state by decode() (the
+  // batched decode kernel) and of a twin state by one-token
+  // prefill_continue() (the multi-query prompt kernel). LM logits must
   // agree within float rounding at every step.
   for (const auto kind : {PositionalKind::kRoPE, PositionalKind::kALiBi,
                           PositionalKind::kLearned}) {
-    const ModelConfig base = tiny_config(kind);
+    Transformer m(tiny_config(kind));
     const auto prompt = make_prompt(16);
+    kv::FullAttentionPolicy decode_policy;
+    kv::FullAttentionPolicy prompt_policy;
+    kv::SequenceKvState decoded = m.make_kv_state();
+    kv::SequenceKvState chunked = m.make_kv_state();
+    m.prefill(decoded, prompt, decode_policy, 4);
+    m.prefill(chunked, prompt, prompt_policy, 4);
+    for (std::size_t t = 1; t <= 4; ++t) {
+      const Token token = static_cast<Token>(t);
+      const std::size_t position = prompt.size() + t - 1;
+      const std::vector<float> via_decode =
+          m.decode(decoded, token, position, t, 4, decode_policy);
+      const Tensor via_prompt = m.prefill_continue(
+          chunked, {&token, 1}, position, prompt_policy, 4);
+      ASSERT_EQ(via_decode.size(), via_prompt.dim(1));
+      for (std::size_t i = 0; i < via_decode.size(); ++i) {
+        EXPECT_NEAR(via_decode[i], via_prompt.row(0)[i], 1e-4F)
+            << to_string(kind) << " step " << t << " logit " << i;
+      }
+    }
+  }
+}
 
-    const auto run = [&](bool fast) {
-      ModelConfig cfg = base;
-      cfg.decode_fast_path = fast;
-      Transformer m(cfg);
-      kv::KeyformerPolicy policy;
-      policy.set_budget(kv::make_budget(prompt.size(), 0.5));
+TEST(Transformer, DecodeIsBitIdenticalAtAnyBatchSize) {
+  // Keyformer's score function reads every decode step's logits, so a
+  // sequence's decode arithmetic must not depend on what shares its batch:
+  // decoded solo, or as slot 2 of a 4-slot step_batch beside companions of
+  // other prompt lengths, it must produce the same logits bit for bit and
+  // evict the same tokens — across all positional families.
+  constexpr std::size_t kSteps = 6;
+  constexpr std::size_t kSlot = 2;
+  constexpr std::size_t kPromptLens[4] = {10, 23, 16, 31};
+  for (const auto kind : {PositionalKind::kRoPE, PositionalKind::kALiBi,
+                          PositionalKind::kLearned}) {
+    const ModelConfig cfg = tiny_config(kind);
+    Transformer m(cfg);
+    const auto start = [&](kv::SequenceKvState& state,
+                           kv::KeyformerPolicy& policy,
+                           std::size_t prompt_len) {
+      policy.set_budget(kv::make_budget(prompt_len, 0.5));
       kv::SequenceInfo info;
-      info.prompt_len = prompt.size();
-      info.total_steps = 4;
+      info.prompt_len = prompt_len;
+      info.total_steps = kSteps;
       info.n_layers = cfg.n_layers;
       info.n_heads = cfg.n_heads;
       policy.begin_sequence(info);
-      m.prefill(prompt, policy, 4);
-      std::vector<std::vector<float>> step_logits;
-      for (std::size_t t = 1; t <= 4; ++t) {
-        step_logits.push_back(
-            m.decode(static_cast<Token>(t), prompt.size() + t - 1, t, 4,
-                     policy));
-      }
-      return step_logits;
+      m.prefill(state, make_prompt(prompt_len), policy, kSteps);
+    };
+    const auto feed = [](std::size_t b, std::size_t t) {
+      return static_cast<Token>((t * 5 + b * 13) % 64);
     };
 
-    const auto fast = run(true);
-    const auto general = run(false);
-    ASSERT_EQ(fast.size(), general.size());
-    for (std::size_t t = 0; t < fast.size(); ++t) {
-      ASSERT_EQ(fast[t].size(), general[t].size());
-      for (std::size_t i = 0; i < fast[t].size(); ++i) {
-        EXPECT_NEAR(fast[t][i], general[t][i], 1e-4F)
+    kv::SequenceKvState solo_state = m.make_kv_state();
+    kv::KeyformerPolicy solo_policy;
+    start(solo_state, solo_policy, kPromptLens[kSlot]);
+    std::vector<std::vector<float>> solo;
+    for (std::size_t t = 1; t <= kSteps; ++t) {
+      solo.push_back(m.decode(solo_state, feed(kSlot, t),
+                              kPromptLens[kSlot] + t - 1, t, kSteps,
+                              solo_policy));
+    }
+
+    std::vector<kv::SequenceKvState> states;
+    std::vector<kv::KeyformerPolicy> policies(4);
+    for (std::size_t b = 0; b < 4; ++b) {
+      states.push_back(m.make_kv_state());
+      start(states[b], policies[b], kPromptLens[b]);
+    }
+    std::vector<DecodeSlot> slots(4);
+    for (std::size_t t = 1; t <= kSteps; ++t) {
+      for (std::size_t b = 0; b < 4; ++b) {
+        slots[b] = {feed(b, t), kPromptLens[b] + t - 1, t, kSteps,
+                    &states[b], &policies[b]};
+      }
+      const Tensor logits = m.step_batch(slots);
+      const auto row = logits.row(kSlot);
+      ASSERT_EQ(row.size(), solo[t - 1].size());
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        EXPECT_EQ(row[i], solo[t - 1][i])
             << to_string(kind) << " step " << t << " logit " << i;
       }
+    }
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+      EXPECT_EQ(states[kSlot].layer_size(l), solo_state.layer_size(l))
+          << to_string(kind) << " layer " << l;
+      EXPECT_LT(solo_state.layer_size(l), kPromptLens[kSlot]);
     }
   }
 }
