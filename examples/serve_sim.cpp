@@ -8,14 +8,12 @@
 // (per-sequence KV caches + Keyformer eviction at 50% cache ratio).
 //
 //   ./examples/serve_sim [--max-batch N] [--kv-budget N]
-//                        [--shards N] [--block-tokens N]
+//                        [--block-tokens N]
 //                        [--shared-prefix N] [--trace FILE]
 //                        [--metrics] [--metrics-csv FILE]
 //     --max-batch N       max concurrent sequences (default 4)
 //     --kv-budget N       scheduler memory budget in per-layer tokens;
 //                         0 = unlimited (default 600)
-//     --shards N          shards of the paged KV block pool (default 1;
-//                         must be positive)
 //     --block-tokens N    tokens per pool block (default 16)
 //     --shared-prefix N   switch to a shared-context workload: every
 //                         request opens with the same ~N-token few-shot
@@ -39,9 +37,8 @@
 //                         JSON to FILE (implies a 5 ms monitor period
 //                         when --monitor-period-ms is not given)
 //
-// The budget is enforced as real block reservations on a shard of the
-// pool, and the summary reports pool utilization and internal
-// fragmentation. With --shared-prefix the pool also becomes a
+// The budget is enforced as real block reservations on the pool, and the
+// summary reports pool utilization and internal fragmentation. With --shared-prefix the pool also becomes a
 // multi-tenant cache: one copy of the shared context's KV
 // backs every request that carries it, copy-on-write under eviction.
 #include <algorithm>
@@ -83,7 +80,7 @@ serve::Request make_request(std::uint64_t id, std::size_t prompt_len,
 [[noreturn]] void usage_exit(const std::string& message) {
   std::cerr << "error: " << message
             << "\nusage: serve_sim [--max-batch N] [--kv-budget N] "
-               "[--shards N] [--block-tokens N] [--shared-prefix N]\n";
+               "[--block-tokens N] [--shared-prefix N]\n";
   std::exit(1);
 }
 
@@ -118,7 +115,6 @@ std::size_t parse_count_arg(const char* arg, const char* name) {
 int main(int argc, char** argv) {
   std::size_t max_batch = 4;
   std::size_t kv_budget = 600;
-  std::size_t shards = 1;
   std::size_t block_tokens = 16;
   std::size_t shared_prefix = 0;
   std::string trace_path;
@@ -137,9 +133,6 @@ int main(int argc, char** argv) {
       max_batch = parse_count_arg(next("--max-batch"), "--max-batch");
     } else if (arg == "--kv-budget") {
       kv_budget = parse_count_arg(next("--kv-budget"), "--kv-budget");
-    } else if (arg == "--shards") {
-      shards = parse_count_arg(next("--shards"), "--shards");
-      if (shards == 0) usage_exit("--shards must be positive");
     } else if (arg == "--block-tokens") {
       block_tokens = parse_count_arg(next("--block-tokens"), "--block-tokens");
       if (block_tokens == 0) usage_exit("--block-tokens must be positive");
@@ -169,7 +162,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: serve_sim [--max-batch N] [--kv-budget N] "
-                   "[--shards N] [--block-tokens N] [--shared-prefix N] "
+                   "[--block-tokens N] [--shared-prefix N] "
                    "[--trace FILE] [--metrics] [--metrics-csv FILE] "
                    "[--monitor-period-ms N] [--prom-out FILE] "
                    "[--timeseries-out FILE]\n";
@@ -219,7 +212,6 @@ int main(int argc, char** argv) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = kv_budget;
-  ec.paged.n_shards = shards;
   ec.paged.block_tokens = block_tokens;
   if (shared_prefix > 0) ec.prefix.enabled = true;
   serve::Engine engine(m, ec);
@@ -229,8 +221,8 @@ int main(int argc, char** argv) {
             << ", kv budget "
             << (kv_budget == 0 ? std::string("unlimited")
                                : std::to_string(kv_budget) + " tokens")
-            << ", keyformer @50% cache, " << shards << " shard(s) x "
-            << block_tokens << "-token blocks"
+            << ", keyformer @50% cache, " << block_tokens
+            << "-token blocks"
             << (shared_prefix > 0
                     ? ", shared " +
                           std::to_string(requests[0].shared_prefix_hint) +
@@ -482,6 +474,6 @@ int main(int argc, char** argv) {
                "ratio shrinks each sequence's footprint, admitting more of "
                "them at once (see bench_serve_throughput). The budget is "
                "enforced as whole-block reservations on a real pool, so "
-               "fragmentation and placement are visible above.\n";
+               "utilization and fragmentation are visible above.\n";
   return 0;
 }

@@ -17,12 +17,62 @@ namespace kf::cpu::avx512 {
 
 namespace {
 
+// GCC 12.2's headers build the unmasked forms of several AVX-512
+// intrinsics (extracts and 512->256 casts, min/max, conversions,
+// roundscale, shifts) on a self-initialized _mm512_undefined_*()
+// passthrough, which C++ -Wall reports as an uninitialized read once
+// inlined. The zero-masking forms with every lane selected compute the
+// same lanes from a defined passthrough (and compile to the unmasked
+// instruction), so this file uses them instead.
+constexpr __mmask16 kAll16 = 0xFFFF;
+constexpr __mmask8 kAll8 = 0xFF;
+
+/// The low (`Half` 0) or high (1) 256 bits of `v`.
+template <int Half>
+inline __m256 half_ps(__m512 v) {
+  return _mm512_maskz_extractf32x8_ps(kAll8, v, Half);
+}
+template <int Half>
+inline __m256d half_pd(__m512d v) {
+  return _mm512_maskz_extractf64x4_pd(kAll8, v, Half);
+}
+
+// Horizontal reductions fold the two 256-bit halves, then finish with the
+// AVX2 variant's 128-bit steps: the same lane order as GCC's
+// _mm512_reduce_*, so results are bit-identical to them.
+
+/// Sum of 4 double lanes: (l0 + l2) + (l1 + l3).
+inline double hsum4_pd(__m256d v) {
+  const __m128d s =
+      _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+}
+
 /// Horizontal sum of 16 float lanes, accumulated in double.
 inline double hsum_pd(__m512 v) {
-  const __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
-  const __m512d hi =
-      _mm512_cvtps_pd(_mm512_extractf32x8_ps(v, 1));
-  return _mm512_reduce_add_pd(_mm512_add_pd(lo, hi));
+  const __m512d lo = _mm512_maskz_cvtps_pd(kAll8, half_ps<0>(v));
+  const __m512d hi = _mm512_maskz_cvtps_pd(kAll8, half_ps<1>(v));
+  const __m512d s = _mm512_add_pd(lo, hi);
+  return hsum4_pd(_mm256_add_pd(half_pd<0>(s), half_pd<1>(s)));
+}
+
+/// Horizontal sum of 16 float lanes in float.
+inline float hsum_ps(__m512 v) {
+  const __m256 h = _mm256_add_ps(half_ps<0>(v), half_ps<1>(v));
+  const __m128 s =
+      _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps(h, 1));
+  const __m128 s2 = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  return _mm_cvtss_f32(_mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1)));
+}
+
+/// Horizontal max of 16 float lanes; operands in GCC's order (high half
+/// first), which decides only which of two equal-comparing zeros wins.
+inline float hmax_ps(__m512 v) {
+  const __m256 h = _mm256_max_ps(half_ps<1>(v), half_ps<0>(v));
+  const __m128 m =
+      _mm_max_ps(_mm256_extractf128_ps(h, 1), _mm256_castps256_ps128(h));
+  const __m128 m2 = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  return _mm_cvtss_f32(_mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 1)));
 }
 
 /// e^x for 16 lanes; same Cephes-style reduction and polynomial as the
@@ -43,10 +93,11 @@ inline __m512 exp512_ps(__m512 x) {
   const __m512 k_highest = _mm512_set1_ps(88.72283F);
 
   const __mmask16 live = _mm512_cmp_ps_mask(x, k_lowest, _CMP_GE_OQ);
-  x = _mm512_min_ps(x, k_highest);
+  x = _mm512_maskz_min_ps(kAll16, x, k_highest);
 
-  const __m512 n = _mm512_roundscale_ps(
-      _mm512_mul_ps(x, k_log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m512 n = _mm512_maskz_roundscale_ps(
+      kAll16, _mm512_mul_ps(x, k_log2e),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   __m512 r = _mm512_fnmadd_ps(n, k_c1, x);
   r = _mm512_fnmadd_ps(n, k_c2, r);
   const __m512 r2 = _mm512_mul_ps(r, r);
@@ -59,9 +110,10 @@ inline __m512 exp512_ps(__m512 x) {
   p = _mm512_fmadd_ps(p, r, k_p5);
   p = _mm512_fmadd_ps(p, r2, _mm512_add_ps(r, k_one));
 
-  const __m512i biased =
-      _mm512_add_epi32(_mm512_cvtps_epi32(n), _mm512_set1_epi32(127));
-  p = _mm512_mul_ps(p, _mm512_castsi512_ps(_mm512_slli_epi32(biased, 23)));
+  const __m512i biased = _mm512_add_epi32(_mm512_maskz_cvtps_epi32(kAll16, n),
+                                          _mm512_set1_epi32(127));
+  p = _mm512_mul_ps(
+      p, _mm512_castsi512_ps(_mm512_maskz_slli_epi32(kAll16, biased, 23)));
   return _mm512_maskz_mov_ps(live, p);
 }
 
@@ -81,7 +133,7 @@ float dot(const float* a, const float* b, std::size_t n) {
     acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
                            acc0);
   }
-  float acc = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+  float acc = hsum_ps(_mm512_add_ps(acc0, acc1));
   for (; i < n; ++i) acc += a[i] * b[i];
   return acc;
 }
@@ -124,9 +176,9 @@ float max_value(const float* x, std::size_t n) {
   if (n >= 16) {
     __m512 vm = _mm512_loadu_ps(x);
     for (i = 16; i + 16 <= n; i += 16) {
-      vm = _mm512_max_ps(vm, _mm512_loadu_ps(x + i));
+      vm = _mm512_maskz_max_ps(kAll16, vm, _mm512_loadu_ps(x + i));
     }
-    m = _mm512_reduce_max_ps(vm);
+    m = hmax_ps(vm);
   }
   for (; i < n; ++i) m = x[i] > m ? x[i] : m;
   return m;

@@ -6,14 +6,8 @@
 
 namespace kf::mem {
 
-PagedKvCache::PagedKvCache(BlockPool& pool, std::size_t shard)
-    : kv::KvCache(pool.config().n_heads, pool.config().d_head),
-      pool_(pool),
-      shard_(shard) {
-  if (shard >= pool.n_shards()) {
-    throw std::invalid_argument("PagedKvCache: shard out of range");
-  }
-}
+PagedKvCache::PagedKvCache(BlockPool& pool)
+    : kv::KvCache(pool.config().n_heads, pool.config().d_head), pool_(pool) {}
 
 PagedKvCache::~PagedKvCache() {
   for (const BlockRef ref : blocks_) release_ref(ref);
@@ -21,20 +15,20 @@ PagedKvCache::~PagedKvCache() {
 }
 
 BlockRef PagedKvCache::new_block() {
-  if (const auto ref = pool_.try_allocate(shard_)) return *ref;
+  if (const auto ref = pool_.try_allocate()) return *ref;
   // Pool refusal (exhaustion or injected fault): fall back to a private
   // heap block so the in-flight decode step completes with exact rows,
   // and latch the failure for the engine's next-step-boundary check.
   ++alloc_failures_;
   pool_.note_emergency_block();
   emergency_.push_back(make_aligned_floats(2 * pool_.section_floats()));
-  return BlockRef{kEmergencyShard,
+  return BlockRef{kFirstReservedBlockId +
                   static_cast<std::uint32_t>(emergency_.size() - 1)};
 }
 
 void PagedKvCache::release_ref(BlockRef ref) {
   if (is_emergency(ref)) {
-    emergency_[ref.id].reset();
+    emergency_[ref.id - kFirstReservedBlockId].reset();
     return;
   }
   pool_.release(ref);
@@ -42,15 +36,14 @@ void PagedKvCache::release_ref(BlockRef ref) {
 
 float* PagedKvCache::keys_of(BlockRef ref, std::size_t head) const {
   if (is_emergency(ref)) {
-    return emergency_[ref.id].get() +
-           head * pool_.block_tokens() * d_head();
+    return emergency_base(ref) + head * pool_.block_tokens() * d_head();
   }
   return pool_.keys(ref, head);
 }
 
 float* PagedKvCache::values_of(BlockRef ref, std::size_t head) const {
   if (is_emergency(ref)) {
-    return emergency_[ref.id].get() + pool_.section_floats() +
+    return emergency_base(ref) + pool_.section_floats() +
            head * pool_.block_tokens() * d_head();
   }
   return pool_.values(ref, head);

@@ -1,6 +1,6 @@
 // Paged implementation of the kv::KvCache surface: one layer's K/V rows
-// live in a chain of fixed-size token blocks allocated from a BlockPool
-// shard, instead of a private contiguous arena.
+// live in a chain of fixed-size token blocks allocated from the BlockPool,
+// instead of a private contiguous arena.
 //
 // Layout inside each block is the same head-major [n_heads][block_tokens]
 // [d_head] the contiguous cache uses per segment, so the decode kernels
@@ -11,7 +11,7 @@
 // tail block is the only partially filled one and fully-drained blocks go
 // back to the pool (compact frees emptied tail blocks, clear and the
 // destructor free everything). Freed memory therefore goes back to the
-// *shared* shard free list, where the scheduler's admission reservations
+// *shared* pool free list, where the scheduler's admission reservations
 // can hand it to another sequence — the mechanism that turns Keyformer's
 // discarded tokens into serving capacity.
 //
@@ -27,13 +27,14 @@
 // No-throw growth: append_rows and the copy-on-write path run inside the
 // batched decode step's parallel_for workers, where an escaping exception
 // would take the whole process down — so block acquisition never throws.
-// When the pool cannot hand out a block (shard exhausted mid-decode, or a
+// When the pool cannot hand out a block (pool exhausted mid-decode, or a
 // chaos-test FaultInjector vetoed it), the cache falls back to a private
-// heap "emergency block" (sentinel shard id, same payload layout) and
-// latches alloc_failed(). The step's numerics stay exact — the rows are
-// real, just not pool-backed — but the sequence is now over its physical
-// budget, so the engine preempts it at the next step boundary and resumes
-// it by recompute once a reservation is granted again.
+// heap "emergency block" (an id the pool never hands out, same payload
+// layout) and latches alloc_failed(). The step's numerics stay exact —
+// the rows are real, just not pool-backed — but the sequence is now over
+// its physical budget, so the engine preempts it at the next step
+// boundary and resumes it by recompute once a reservation is granted
+// again.
 //
 // Copy-on-write sharing: adopt_prefix() lets an empty cache take over an
 // immutable block chain (a prompt prefix another sequence already
@@ -60,15 +61,14 @@ namespace kf::mem {
 
 class PagedKvCache final : public kv::KvCache {
  public:
-  /// Builds an empty cache drawing blocks from `pool`'s shard `shard`.
-  /// Geometry (n_heads/d_head/block_tokens) comes from the pool config.
-  PagedKvCache(BlockPool& pool, std::size_t shard);
+  /// Builds an empty cache drawing blocks from `pool`. Geometry
+  /// (n_heads/d_head/block_tokens) comes from the pool config.
+  explicit PagedKvCache(BlockPool& pool);
   ~PagedKvCache() override;
 
   PagedKvCache(const PagedKvCache&) = delete;
   PagedKvCache& operator=(const PagedKvCache&) = delete;
 
-  std::size_t shard() const noexcept { return shard_; }
   /// Chain blocks currently held (== ceil(size()/block_tokens)).
   std::size_t blocks_held() const noexcept { return blocks_.size(); }
   /// Pool blocks held beyond the chain: 1 while a drained block is kept as
@@ -123,11 +123,13 @@ class PagedKvCache final : public kv::KvCache {
   void clear_rows() override;
 
  private:
-  /// Sentinel BlockRef::shard for emergency heap blocks (never a valid
-  /// pool shard: pools are bounded far below 2^32 shards).
-  static constexpr std::uint32_t kEmergencyShard = 0xffffffffU;
+  /// Emergency heap blocks take ids from the range the pool never hands
+  /// out: kFirstReservedBlockId + their slot in emergency_.
   static bool is_emergency(BlockRef ref) noexcept {
-    return ref.shard == kEmergencyShard;
+    return ref.id >= kFirstReservedBlockId;
+  }
+  float* emergency_base(BlockRef ref) const {
+    return emergency_[ref.id - kFirstReservedBlockId].get();
   }
 
   /// Releases the chain blocks past `live_tokens`, keeping one as the
@@ -147,7 +149,6 @@ class PagedKvCache final : public kv::KvCache {
   float* values_of(BlockRef ref, std::size_t head) const;
 
   BlockPool& pool_;
-  std::size_t shard_;
   std::vector<BlockRef> blocks_;
   /// shared_[i]: blocks_[i] was adopted and may still have other readers —
   /// mutations must go through cow_block() first. Parallel to blocks_.
@@ -156,9 +157,9 @@ class PagedKvCache final : public kv::KvCache {
   /// and pool-backed; see the header comment).
   std::optional<BlockRef> spare_;
   /// Emergency heap payloads (64-byte aligned like pool slabs), indexed
-  /// by the ref id; slots null once released. Only this cache ever sees
-  /// these blocks — they are invisible to the pool, the scheduler, and
-  /// the prefix index.
+  /// by ref id - kFirstReservedBlockId; slots null once released. Only
+  /// this cache ever sees these blocks — they are invisible to the pool,
+  /// the scheduler, and the prefix index.
   std::vector<AlignedFloatArray> emergency_;
   std::size_t cow_copies_ = 0;
   std::size_t alloc_failures_ = 0;

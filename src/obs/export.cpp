@@ -89,7 +89,11 @@ std::string to_timeseries_json(const Monitor& monitor) {
     for (std::size_t i = 0; i < series.size(); ++i) {
       if (i > 0) out += ", ";
       const TimeSample& s = series.at(i);
-      out += "[" + format_double(s.t) + ", " + format_double(s.value) + "]";
+      out += '[';
+      out += format_double(s.t);
+      out += ", ";
+      out += format_double(s.value);
+      out += ']';
     }
     out += "]}";
   }

@@ -28,29 +28,26 @@ mem::BlockPoolConfig pool_config(const model::ModelConfig& mc,
         "paged KV is the engine's only storage; PagedMemoryConfig::enabled "
         "must stay true");
   }
-  if (cfg.paged.n_shards == 0 || cfg.paged.block_tokens == 0) {
-    throw std::invalid_argument(
-        "paged memory requires n_shards > 0 and block_tokens > 0");
+  if (cfg.paged.block_tokens == 0) {
+    throw std::invalid_argument("paged memory requires block_tokens > 0");
   }
   mem::BlockPoolConfig pc;
-  pc.n_shards = cfg.paged.n_shards;
   pc.block_tokens = cfg.paged.block_tokens;
   pc.n_heads = mc.n_heads;
   pc.d_head = mc.d_head();
-  pc.blocks_per_shard = cfg.paged.blocks_per_shard;
+  pc.capacity_blocks = cfg.paged.capacity_blocks;
   pc.metrics = &metrics;
   const std::size_t budget_tokens = cfg.scheduler.max_concurrent_tokens;
-  if (pc.blocks_per_shard == 0 && budget_tokens > 0) {
+  if (pc.capacity_blocks == 0 && budget_tokens > 0) {
     // Translate the token budget into physical capacity: the budget is
     // per-layer tokens across the active set, so the pool holds n_layers
-    // times its block equivalent, split across shards. A bounded prefix
-    // cache rides on top, so caching prefixes never eats into the
-    // admission capacity the budget promised. Both 0: unbounded.
-    const std::size_t budget_blocks =
+    // times its block equivalent. A bounded prefix cache rides on top, so
+    // caching prefixes never eats into the admission capacity the budget
+    // promised. Both 0: unbounded.
+    pc.capacity_blocks =
         mc.n_layers *
             ((budget_tokens + pc.block_tokens - 1) / pc.block_tokens) +
         (cfg.prefix.enabled ? cfg.prefix.max_blocks : 0);
-    pc.blocks_per_shard = (budget_blocks + pc.n_shards - 1) / pc.n_shards;
   }
   return pc;
 }
@@ -96,7 +93,6 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
     ic.min_tokens = cfg_.prefix.min_tokens;
     ic.metrics = &metrics_;
     prefix_index_ = std::make_unique<mem::PrefixIndex>(pool_, ic);
-    cfg_.scheduler.prefix_index = prefix_index_.get();
   }
 }
 
@@ -226,8 +222,8 @@ Engine::Loop::Loop(Engine& engine, std::span<const Request> requests)
     s.shared_prefix_hint = req.shared_prefix_hint;
     // Containment: an invalid request becomes a kRejected Response with
     // an error string instead of an exception killing the whole batch.
-    // KV state is built at admission, once the scheduler has placed the
-    // sequence on a shard.
+    // KV state is built at admission, once the scheduler has reserved the
+    // sequence's blocks.
     if (req.prompt.empty()) {
       finish(s, FinishReason::kRejected,
              "serve request requires a non-empty prompt");
@@ -319,9 +315,9 @@ void Engine::Loop::admit_round() {
     probe_waiting();
     const std::vector<Sequence*> admitted = sched_.admit(step_);
     for (Sequence* seq : admitted) admit(*seq);
-    // Admission rejections (demand above a whole shard, or a reservation
-    // denied past the retry cap) become kRejected responses, and the
-    // queue behind them keeps moving.
+    // Admission rejections (demand above the pool capacity, or a
+    // reservation denied past the retry cap) become kRejected responses,
+    // and the queue behind them keeps moving.
     for (Sequence* seq : sched_.take_rejected()) {
       finish(*seq, FinishReason::kRejected, std::move(seq->error));
     }
@@ -337,10 +333,10 @@ void Engine::Loop::admit(Sequence& seq) {
   }
   if (tracing_) seq.policy->set_timing_sink(&seq.policy_timings);
   seq.policy->set_eviction_sink(&seq.eviction);
-  // Materialize the placement decision: layer caches drawing blocks from
-  // the shard the scheduler just reserved on.
-  seq.kv = std::make_unique<kv::SequenceKvState>(pool_, seq.shard,
-                                                 model_.config().n_layers);
+  // Layer caches drawing blocks from the pool the scheduler just reserved
+  // on.
+  seq.kv =
+      std::make_unique<kv::SequenceKvState>(pool_, model_.config().n_layers);
   // The admission charge covers the transient prefill peak; record it
   // before settling so max_blocks_in_use reflects true memory.
   record_peaks();
@@ -411,17 +407,17 @@ void Engine::Loop::start_sequence(Sequence& seq) {
                 : index_->lookup(prompt, prompt.size() - 1);
   }
 
-  bool adopted = false;
-  if (entry != nullptr && index_->adopt(entry, *seq.kv)) {
+  const bool adopted = entry != nullptr;
+  if (adopted) {
     // Hit: the prefix K/V replays from the shared chain; only the suffix
-    // runs. Cache-resident boundary scores were seeded by adopt();
+    // runs. Cache-resident boundary scores are seeded by adopt();
     // policy-resident state (shared-scope Keyformer) imports here.
+    index_->adopt(entry, *seq.kv);
     seq.policy->import_score_state(entry->policy_scores());
     const std::size_t m = entry->tokens();
     prompt_logits = model_.prefill_continue(
         *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
     computed = prompt.size() - m;
-    adopted = true;
     ++stats_.prefix_hits;
     stats_.prefix_tokens_reused += m;
     stats_.prefix_blocks_shared +=
@@ -512,8 +508,8 @@ void Engine::Loop::start_sequence(Sequence& seq) {
 
 // Admission-time prefix probe: pin a matching shared chain for every
 // waiting eligible sequence so (a) the scheduler charges only the unshared
-// demand on shards holding the chain and (b) the chain cannot be trimmed
-// between the reduced charge and the adoption it promised.
+// demand and (b) the chain cannot be trimmed between the reduced charge
+// and the adoption it promised.
 void Engine::Loop::probe_waiting() {
   if (index_ == nullptr) return;
   for (Sequence* seq : sched_.waiting()) {
@@ -795,7 +791,7 @@ void Engine::Loop::unpin(Sequence& seq) {
 }
 
 // Folds the layer caches' counters into the run stats, then tears the
-// state down so its blocks go back to the shard free list *now*, while the
+// state down so its blocks go back to the pool free list *now*, while the
 // reservation the scheduler is about to release still backs them.
 void Engine::Loop::drop_kv(Sequence& seq) {
   for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {

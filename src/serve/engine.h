@@ -48,20 +48,19 @@ class Monitor;
 
 namespace kf::serve {
 
-/// Paged KV memory: the engine owns a sharded mem::BlockPool, sequences
-/// get PagedKvCache layers placed on a shard at admission, and the
-/// scheduler's budget is a real block reservation (see scheduler.h).
+/// Paged KV memory: the engine owns one mem::BlockPool, sequences get
+/// PagedKvCache layers drawing from it at admission, and the scheduler's
+/// budget is a real block reservation (see scheduler.h).
 struct PagedMemoryConfig {
   /// Must stay true (the Engine constructor rejects false): paging is the
   /// engine's only storage. Kept only so existing configurations that set
   /// it still compile.
   bool enabled = true;
-  std::size_t n_shards = 1;
   std::size_t block_tokens = 16;
-  /// Hard per-shard cap; 0 derives it from the scheduler token budget
-  /// (n_layers * ceil(max_concurrent_tokens / block_tokens), split across
-  /// shards) or leaves the pool unbounded when that budget is 0 too.
-  std::size_t blocks_per_shard = 0;
+  /// Hard pool cap; 0 derives it from the scheduler token budget
+  /// (n_layers * ceil(max_concurrent_tokens / block_tokens)) or leaves the
+  /// pool unbounded when that budget is 0 too.
+  std::size_t capacity_blocks = 0;
 };
 
 /// Cross-request prefix cache: prompts sharing a block-aligned prefix
@@ -73,7 +72,7 @@ struct PagedMemoryConfig {
 /// policy-specific.
 struct PrefixCacheConfig {
   bool enabled = false;
-  /// Block budget for the index (entries + shard replicas); LRU entries
+  /// Block budget for the index (all entries' chains); LRU entries
   /// are trimmed to fit. 0 = bounded only by pool capacity. When the pool
   /// capacity is derived from the scheduler token budget, this budget is
   /// added on top so caching never shrinks admission capacity.
@@ -241,9 +240,9 @@ class Engine {
   /// Responses are returned in the order of `requests` (not completion
   /// order). Every request terminates with a definite finish reason:
   /// invalid or un-servable requests (empty prompt, a policy instance
-  /// shared across requests, demand above a whole shard) are contained as
-  /// kRejected responses with an error string — they never throw, and the
-  /// rest of the batch keeps decoding.
+  /// shared across requests, demand above the pool capacity) are contained
+  /// as kRejected responses with an error string — they never throw, and
+  /// the rest of the batch keeps decoding.
   std::vector<Response> run(std::span<const Request> requests);
 
   /// Aggregate eviction telemetry over the engine's lifetime: every

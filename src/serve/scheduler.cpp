@@ -5,7 +5,6 @@
 #include <string>
 
 #include "mem/block_pool.h"
-#include "mem/prefix_index.h"
 #include "obs/metrics.h"
 
 namespace kf::serve {
@@ -30,72 +29,17 @@ void BatchScheduler::submit(Sequence* seq) {
   waiting_.push_back(seq);
 }
 
-std::optional<std::size_t> BatchScheduler::pick_shard(
-    const std::vector<std::size_t>& candidates, std::size_t demand) const {
-  if (candidates.empty()) return std::nullopt;
-  if (cfg_.placement == ShardPlacement::kRoundRobin) {
-    // Pure lookup: the cursor advances only when admit() actually places
-    // a sequence (fits() probes this too and must not burn a turn).
-    const std::size_t n = pool_.n_shards();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t s = (rr_next_ + i) % n;
-      if (std::find(candidates.begin(), candidates.end(), s) ==
-          candidates.end()) {
-        continue;
-      }
-      if (pool_.unreserved_blocks(s) >= demand) return s;
-    }
-    return std::nullopt;
-  }
-  // Least loaded: fewest reserved blocks (capacity is uniform per shard,
-  // so this equals most-free in bounded mode and still spreads load when
-  // the pool is unbounded). Ties break to the lowest id so admission
-  // stays deterministic.
-  std::size_t best = candidates.front();
-  std::size_t best_load = pool_.shard_stats(best).reserved_blocks;
-  for (const std::size_t s : candidates) {
-    const std::size_t load = pool_.shard_stats(s).reserved_blocks;
-    if (load < best_load) {
-      best = s;
-      best_load = load;
-    }
-  }
-  if (pool_.unreserved_blocks(best) >= demand) return best;
-  return std::nullopt;
-}
-
-std::optional<BatchScheduler::Placement> BatchScheduler::choose_shard(
-    const Sequence& seq) const {
+std::size_t BatchScheduler::admission_demand(const Sequence& seq) const {
   const std::size_t bt = pool_.block_tokens();
-  const std::size_t n = pool_.n_shards();
-  const std::size_t full = seq.admission_cost_blocks(bt);
-  // Prefix affinity first: shards already holding the sequence's shared
-  // chain serve it at the unshared demand — both cheaper for the pool and
-  // the only placement that keeps chain reads shard-local.
-  if (seq.prefix_entry != nullptr && seq.prefix_blocks_per_layer > 0 &&
-      cfg_.prefix_index != nullptr) {
-    const std::size_t reduced = seq.unshared_admission_blocks(bt);
-    std::vector<std::size_t> resident;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (cfg_.prefix_index->resident_on(seq.prefix_entry, s)) {
-        resident.push_back(s);
-      }
-    }
-    if (const auto s = pick_shard(resident, reduced)) {
-      return Placement{*s, reduced};
-    }
-  }
-  std::vector<std::size_t> all(n);
-  for (std::size_t s = 0; s < n; ++s) all[s] = s;
-  if (const auto s = pick_shard(all, full)) return Placement{*s, full};
-  return std::nullopt;
+  return seq.prefix_entry != nullptr ? seq.unshared_admission_blocks(bt)
+                                     : seq.admission_cost_blocks(bt);
 }
 
 bool BatchScheduler::fits(const Sequence& seq) const {
   if (cfg_.max_batch_size > 0 && active_.size() >= cfg_.max_batch_size) {
     return false;
   }
-  return choose_shard(seq).has_value();
+  return pool_.unreserved_blocks() >= admission_demand(seq);
 }
 
 std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
@@ -103,37 +47,30 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
   while (!waiting_.empty()) {
     Sequence* head = waiting_.front();
     if (head->arrival_step > now_step) break;
-    // A demand above a whole (bounded) shard can never be satisfied — the
+    // A demand above the whole (bounded) pool can never be satisfied — the
     // cap is physical. Reject the request instead of deadlocking the FIFO;
-    // admission moves on to the next waiting sequence. The check uses the
-    // smallest conceivable charge: a pinned prefix match shrinks demand on
-    // its resident shards.
-    const std::size_t per_shard = pool_.config().blocks_per_shard;
-    const std::size_t bt = pool_.block_tokens();
-    const std::size_t min_demand = head->prefix_entry != nullptr
-                                       ? head->unshared_admission_blocks(bt)
-                                       : head->admission_cost_blocks(bt);
-    if (per_shard > 0 && min_demand > per_shard) {
+    // admission moves on to the next waiting sequence.
+    const std::size_t capacity = pool_.config().capacity_blocks;
+    const std::size_t demand = admission_demand(*head);
+    if (capacity > 0 && demand > capacity) {
       waiting_.pop_front();
       head->status = SequenceStatus::kFinished;
       head->finish = FinishReason::kRejected;
       head->error =
-          "sequence KV demand exceeds a whole pool shard; grow "
-          "blocks_per_shard or reduce the request";
+          "sequence KV demand exceeds the pool capacity; grow "
+          "capacity_blocks or reduce the request";
       rejected_.push_back(head);
       if (ctr_rejected_ != nullptr) ctr_rejected_->add();
       continue;
     }
     if (!fits(*head)) break;
-    const auto placement = choose_shard(*head);
     // fits() said yes a moment ago, but the reservation can still be
-    // refused: a prefix-index insert/replication on another code path
-    // claimed the capacity in between (TOCTOU), or a fault injector vetoed
-    // it. Roll the admission back and retry next round — or reject once
-    // the same sequence has lost too many rounds in a row for a race to be
-    // the explanation.
-    if (!placement.has_value() ||
-        !pool_.try_reserve(placement->shard, placement->demand)) {
+    // refused: a prefix-index insert on another code path claimed the
+    // capacity in between (TOCTOU), or a fault injector vetoed it. Roll
+    // the admission back and retry next round — or reject once the same
+    // sequence has lost too many rounds in a row for a race to be the
+    // explanation.
+    if (!pool_.try_reserve(demand)) {
       {
         const LockGuard lock(counters_mu_);
         ++reservation_retries_;
@@ -157,13 +94,11 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
     waiting_.pop_front();
     head->status = SequenceStatus::kActive;
     head->reserve_failures = 0;
-    head->shard = placement->shard;
-    head->reserved_blocks = placement->demand;
+    head->reserved_blocks = demand;
     {
       const LockGuard lock(counters_mu_);
-      blocks_in_use_ += placement->demand;
+      blocks_in_use_ += demand;
     }
-    rr_next_ = (placement->shard + 1) % pool_.n_shards();
     head->admitted_step = now_step;
     active_.push_back(head);
     admitted.push_back(head);
@@ -230,7 +165,7 @@ void BatchScheduler::settle(Sequence* seq) {
       std::min(seq->reserved_blocks, seq->cost_blocks(pool_.block_tokens()));
   const std::size_t excess = seq->reserved_blocks - steady_blocks;
   if (excess > 0) {
-    pool_.unreserve(seq->shard, excess);
+    pool_.unreserve(excess);
     seq->reserved_blocks = steady_blocks;
     const LockGuard lock(counters_mu_);
     blocks_in_use_ -= excess;
@@ -238,13 +173,12 @@ void BatchScheduler::settle(Sequence* seq) {
 }
 
 void BatchScheduler::uncharge(Sequence* seq) {
-  pool_.unreserve(seq->shard, seq->reserved_blocks);
+  pool_.unreserve(seq->reserved_blocks);
   {
     const LockGuard lock(counters_mu_);
     blocks_in_use_ -= seq->reserved_blocks;
   }
   seq->reserved_blocks = 0;
-  seq->shard = Sequence::kNoShard;
 }
 
 void BatchScheduler::release(Sequence* seq) {

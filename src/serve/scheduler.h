@@ -4,18 +4,15 @@
 // arrival) and an active set that decodes together. Sequences join the
 // active set as soon as they have arrived AND fit the limits:
 //   - max_batch_size: concurrent sequences (GEMM batch width);
-//   - memory: admission *reserves real blocks* on one BlockPool shard,
-//     chosen by the placement policy. The reservation covers the
-//     sequence's whole-block demand across all its layers (ceil per layer
-//     — internal fragmentation is charged, not hidden), so pool capacity
-//     is an exact physical memory cap: an admitted sequence can always
-//     allocate what it was charged. An unbounded pool admits on the batch
-//     cap alone. When the sequence has a pinned prefix-cache match
-//     (seq.prefix_*), shards already holding the shared chain are tried
-//     first and charge only the *unshared* demand — the shared prefix
-//     blocks are resident and paid for by the index; other shards charge
-//     the full demand (the chain would have to be replicated or
-//     recomputed there).
+//   - memory: admission *reserves real blocks* on the BlockPool. The
+//     reservation covers the sequence's whole-block demand across all its
+//     layers (ceil per layer — internal fragmentation is charged, not
+//     hidden), so pool capacity is an exact physical memory cap: an
+//     admitted sequence can always allocate what it was charged. An
+//     unbounded pool admits on the batch cap alone. When the sequence has
+//     a pinned prefix-cache match (seq.prefix_*), admission charges only
+//     the *unshared* demand — the shared prefix blocks are resident and
+//     paid for by the index.
 //   A joining sequence is charged its transient prefill peak
 //   (admission_cost_blocks: the full prompt is resident per layer until
 //   the policy trims it) and settles down to its steady-state cost once
@@ -28,8 +25,8 @@
 //
 // Admission is strict FIFO: the head of the queue blocks later arrivals
 // even if those would fit, so large requests cannot starve. The cap is
-// physical, so a sequence whose admission demand exceeds a whole shard is
-// marked kRejected and parked on the rejected list (take_rejected())
+// physical, so a sequence whose admission demand exceeds the pool capacity
+// is marked kRejected and parked on the rejected list (take_rejected())
 // instead of deadlocking; admission moves on to the next waiting
 // sequence.
 //
@@ -38,7 +35,7 @@
 //     against concurrent prefix-index trims/inserts, or an injected
 //     fault) rolls the admission back and retries next round; after
 //     max_reserve_retries consecutive losses the sequence is rejected so
-//     a shard that never grants the claim cannot spin the engine forever.
+//     a pool that never grants the claim cannot spin the engine forever.
 //   - preempt() is release()'s mid-flight sibling: it frees an active
 //     sequence's blocks but re-queues it (keeping its generated tokens)
 //     behind every already-arrived waiter, so the starved head
@@ -59,7 +56,6 @@
 
 namespace kf::mem {
 class BlockPool;
-class PrefixIndex;
 }
 
 namespace kf::obs {
@@ -69,24 +65,14 @@ class MetricsRegistry;
 
 namespace kf::serve {
 
-/// How admission picks a shard for a joining sequence.
-enum class ShardPlacement {
-  kLeastLoaded,  ///< shard with the most unreserved blocks (ties: lowest id)
-  kRoundRobin,   ///< cycle shards, skipping ones the sequence doesn't fit
-};
-
 struct SchedulerConfig {
   /// Max sequences decoding together; 0 = unlimited.
   std::size_t max_batch_size = 8;
   /// KV-memory budget in summed per-layer tokens of the active set; 0 =
   /// unlimited. The scheduler never reads it: the engine turns it into the
-  /// pool's capacity (n_layers * ceil(budget / block_tokens) blocks, split
-  /// across shards), and admission reserves against that capacity.
+  /// pool's capacity (n_layers * ceil(budget / block_tokens) blocks), and
+  /// admission reserves against that capacity.
   std::size_t max_concurrent_tokens = 0;
-  /// The engine's prefix index (for chain-residency placement queries);
-  /// null when the prefix cache is disabled. Must outlive the scheduler.
-  const mem::PrefixIndex* prefix_index = nullptr;
-  ShardPlacement placement = ShardPlacement::kLeastLoaded;
   /// Consecutive failed block reservations (fits() said yes, try_reserve
   /// said no) a sequence tolerates before admission rejects it. Generous:
   /// a genuine TOCTOU loss resolves in one round; only a pathological
@@ -100,8 +86,8 @@ struct SchedulerConfig {
 
 class BatchScheduler {
  public:
-  /// Admission reserves blocks against `pool`'s shards; the pool must
-  /// outlive the scheduler.
+  /// Admission reserves blocks against `pool`; the pool must outlive the
+  /// scheduler.
   explicit BatchScheduler(mem::BlockPool& pool, SchedulerConfig cfg = {});
 
   const SchedulerConfig& config() const noexcept { return cfg_; }
@@ -113,10 +99,10 @@ class BatchScheduler {
 
   /// Moves every admissible waiting sequence (arrived by `now_step`, fits
   /// both limits) into the active set and returns the newly admitted ones
-  /// in admission order. Each admitted sequence has its shard chosen and
-  /// its admission block demand reserved. A sequence whose demand exceeds
-  /// a whole shard (it could never run) is marked kRejected and moved to
-  /// the rejected list instead of blocking the queue; a reservation lost
+  /// in admission order. Each admitted sequence has its admission block
+  /// demand reserved. A sequence whose demand exceeds the pool capacity
+  /// (it could never run) is marked kRejected and moved to the rejected
+  /// list instead of blocking the queue; a reservation lost
   /// to a TOCTOU race rolls back and retries next round (see the header
   /// comment).
   std::vector<Sequence*> admit(std::size_t now_step);
@@ -180,18 +166,10 @@ class BatchScheduler {
   std::optional<std::size_t> next_arrival() const;
 
  private:
+  /// What admission charges `seq`: the unshared demand when it holds a
+  /// pinned prefix-cache match, the full transient demand otherwise.
+  std::size_t admission_demand(const Sequence& seq) const;
   bool fits(const Sequence& seq) const;
-  /// A shard able to host the sequence and what admission would charge it
-  /// there (unshared demand on shards holding its shared prefix chain,
-  /// full demand elsewhere).
-  struct Placement {
-    std::size_t shard = 0;
-    std::size_t demand = 0;
-  };
-  std::optional<Placement> choose_shard(const Sequence& seq) const;
-  /// Placement policy over one candidate shard set; nullopt when none fit.
-  std::optional<std::size_t> pick_shard(
-      const std::vector<std::size_t>& candidates, std::size_t demand) const;
   /// Returns an active-set leaver's block reservation (release() and
   /// preempt() share it).
   void uncharge(Sequence* seq);
@@ -208,10 +186,9 @@ class BatchScheduler {
   mutable Mutex counters_mu_;
   std::size_t blocks_in_use_ KF_GUARDED_BY(counters_mu_) = 0;
   std::size_t reservation_retries_ KF_GUARDED_BY(counters_mu_) = 0;
-  std::size_t rr_next_ = 0;  ///< round-robin cursor (advances on placement)
   /// Registry-owned counters, resolved once in the constructor; null when
   /// cfg_.metrics is null. The engine-loop-only call sites bump them with
-  /// one relaxed sharded add.
+  /// one relaxed per-thread add.
   obs::Counter* ctr_admitted_ = nullptr;
   obs::Counter* ctr_rejected_ = nullptr;
   obs::Counter* ctr_preempted_ = nullptr;

@@ -158,11 +158,11 @@ struct Sequence {
   /// Consecutive admission rounds lost to a failed block reservation
   /// (fits() said yes, try_reserve lost the race — or a fault injector
   /// vetoed it). Cleared on successful admission; capped by the scheduler
-  /// so a shard that never grants the claim rejects instead of spinning.
+  /// so a pool that never grants the claim rejects instead of spinning.
   std::size_t reserve_failures = 0;
 
-  /// Paged layer caches on the shard admission placed this sequence on;
-  /// built at admission, torn down at park/finish so the blocks return to
+  /// Paged layer caches drawing on the pool admission reserved on; built
+  /// at admission, torn down at park/finish so the blocks return to
   /// the pool at once. Null while the sequence holds no admission.
   std::unique_ptr<kv::SequenceKvState> kv;
   /// Policy used for this sequence: owned_policy, or the Request's
@@ -238,11 +238,8 @@ struct Sequence {
   /// engine from the model config; block demands are per layer).
   std::size_t n_layers = 0;
 
-  /// Block-pool placement: the shard this sequence's caches draw from
-  /// (kNoShard until admitted) and the blocks the scheduler currently
-  /// holds reserved on it.
-  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-  std::size_t shard = kNoShard;
+  /// Blocks the scheduler currently holds reserved on the pool for this
+  /// sequence (0 while it is not admitted).
   std::size_t reserved_blocks = 0;
 
   /// cost_tokens() expressed in pool blocks: every layer rounds its token
@@ -277,7 +274,7 @@ struct Sequence {
   std::size_t shared_prefix_hint = 0;
 
   /// admission_cost_blocks() minus what the shared prefix already pays
-  /// for, valid on shards where the entry's chain is resident. Per layer
+  /// for, valid while the entry is pinned. Per layer
   /// the unshared transient demand is the fresh suffix blocks plus the
   /// worst-case copy-on-write conversion of the live shared blocks
   /// (bounded by the steady footprint: eviction never keeps more), floored

@@ -58,12 +58,10 @@ TEST(SequenceCost, AdmissionChargesPrefillPeak) {
   EXPECT_EQ(make_seq(40, 1.0, 8).admission_cost_tokens(), 48u);
 }
 
-mem::BlockPoolConfig block_pool_config(std::size_t shards,
-                                       std::size_t blocks_per_shard,
+mem::BlockPoolConfig block_pool_config(std::size_t capacity_blocks,
                                        std::size_t block_tokens = 8) {
   mem::BlockPoolConfig cfg;
-  cfg.n_shards = shards;
-  cfg.blocks_per_shard = blocks_per_shard;
+  cfg.capacity_blocks = capacity_blocks;
   cfg.block_tokens = block_tokens;
   cfg.n_heads = 2;
   cfg.d_head = 4;
@@ -78,7 +76,7 @@ Sequence make_block_seq(std::size_t prompt_len, double cache_ratio,
 }
 
 TEST(BatchScheduler, AdmitsUpToBatchSize) {
-  mem::BlockPool pool(block_pool_config(1, /*unbounded*/ 0));
+  mem::BlockPool pool(block_pool_config(/*unbounded*/ 0));
   BatchScheduler sched(pool, {.max_batch_size = 2});
   std::vector<Sequence> seqs;
   for (int i = 0; i < 3; ++i) seqs.push_back(make_block_seq(16, 0.5));
@@ -97,7 +95,7 @@ TEST(BatchScheduler, BlockBudgetChargesPrefillPeakThenSettles) {
   // blocks) but transiently needs its full 16-token prompt (4 blocks)
   // resident during prefill; the pool must cover the charged (not just
   // steady-state) total at every admission.
-  mem::BlockPool pool(block_pool_config(1, 7, /*block_tokens=*/4));
+  mem::BlockPool pool(block_pool_config(7, /*block_tokens=*/4));
   BatchScheduler sched(pool, {.max_batch_size = 0});
   std::vector<Sequence> seqs;
   for (int i = 0; i < 3; ++i) {
@@ -132,7 +130,7 @@ TEST(BatchScheduler, ReducedCacheRatioAdmitsMoreSequences) {
   // same pool. 64-token prompts, one layer, 8-token blocks: steady costs
   // are 9 (full), 5 (half) and 3 (quarter) blocks, prefill peaks 9/8/8.
   const auto admitted_at = [&](double ratio) {
-    mem::BlockPool pool(block_pool_config(1, 25));
+    mem::BlockPool pool(block_pool_config(25));
     BatchScheduler sched(pool, {.max_batch_size = 0});
     std::vector<Sequence> seqs;
     seqs.reserve(16);
@@ -160,7 +158,7 @@ TEST(BatchScheduler, ReducedCacheRatioAdmitsMoreSequences) {
 }
 
 TEST(BatchScheduler, ArrivalStepGatesAdmission) {
-  mem::BlockPool pool(block_pool_config(1, /*unbounded*/ 0));
+  mem::BlockPool pool(block_pool_config(/*unbounded*/ 0));
   BatchScheduler sched(pool, {.max_batch_size = 0});
   Sequence early = make_block_seq(8, 1.0, 2, 4);
   Sequence late = make_block_seq(8, 1.0, 2, 4);
@@ -179,7 +177,7 @@ TEST(BatchScheduler, StrictFifoHeadOfLineBlocks) {
   // A big head-of-queue request blocks later small ones (no starvation of
   // large requests), even though the small one would fit. One layer,
   // 8-token blocks, an 8-block pool.
-  mem::BlockPool pool(block_pool_config(1, 8));
+  mem::BlockPool pool(block_pool_config(8));
   BatchScheduler sched(pool, {.max_batch_size = 0});
   Sequence resident = make_block_seq(40, 0.5, 1);  // admission charge 5
   Sequence big = make_block_seq(60, 0.5, 1);       // charge 8 > remaining 3
@@ -198,7 +196,7 @@ TEST(BatchScheduler, StrictFifoHeadOfLineBlocks) {
 }
 
 TEST(BatchScheduler, ReleaseOrSettleOfInactiveThrows) {
-  mem::BlockPool pool(block_pool_config(1, 8));
+  mem::BlockPool pool(block_pool_config(8));
   BatchScheduler sched(pool);
   Sequence s = make_block_seq(8, 0.5);
   EXPECT_THROW(sched.release(&s), std::invalid_argument);
@@ -207,7 +205,7 @@ TEST(BatchScheduler, ReleaseOrSettleOfInactiveThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Reservation, settling and shard placement on a multi-shard pool.
+// Reservation and settling on real pool blocks.
 
 TEST(SequenceCost, BlockDemandRoundsPerLayer) {
   // k = 20 -> steady 21 tokens; block_tokens 8 -> 3 blocks per layer.
@@ -218,7 +216,7 @@ TEST(SequenceCost, BlockDemandRoundsPerLayer) {
 }
 
 TEST(BatchScheduler, BlockModeReservesAndSettlesRealBlocks) {
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
   BatchScheduler sched(pool, cfg);
@@ -226,19 +224,18 @@ TEST(BatchScheduler, BlockModeReservesAndSettlesRealBlocks) {
   Sequence s = make_block_seq(40, 0.5);  // admit 10 blocks, steady 6
   sched.submit(&s);
   ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(s.shard, 0u);
   EXPECT_EQ(s.reserved_blocks, 10u);
   EXPECT_EQ(sched.blocks_in_use(), 10u);
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 10u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 10u);
 
   sched.settle(&s);
   EXPECT_EQ(s.reserved_blocks, 6u);
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 6u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 6u);
 
   sched.release(&s);
   EXPECT_EQ(sched.blocks_in_use(), 0u);
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 0u);
-  EXPECT_EQ(s.shard, Sequence::kNoShard);
+  EXPECT_EQ(s.reserved_blocks, 0u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 0u);
 }
 
 TEST(BatchScheduler, BlockModeChargesWholeBlockFragmentation) {
@@ -247,7 +244,7 @@ TEST(BatchScheduler, BlockModeChargesWholeBlockFragmentation) {
   // 12 blocks fits them only sequentially: the second must wait for the
   // first's settle, and a third can never join while both are resident —
   // even though 48 tokens of raw token slots would hold 2 at once.
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
   BatchScheduler sched(pool, cfg);
@@ -263,105 +260,11 @@ TEST(BatchScheduler, BlockModeChargesWholeBlockFragmentation) {
   ASSERT_EQ(sched.admit(0).size(), 1u);
 }
 
-TEST(BatchScheduler, LeastLoadedPlacementSpreadsAcrossShards) {
-  mem::BlockPool pool(block_pool_config(2, 16));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  BatchScheduler sched(pool, cfg);
-
-  Sequence a = make_block_seq(40, 0.5);
-  Sequence b = make_block_seq(40, 0.5);
-  sched.submit(&a);
-  sched.submit(&b);
-  ASSERT_EQ(sched.admit(0).size(), 2u);
-  EXPECT_NE(a.shard, b.shard);
-}
-
-TEST(BatchScheduler, RoundRobinPlacementCyclesShards) {
-  mem::BlockPool pool(block_pool_config(3, 32));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.placement = ShardPlacement::kRoundRobin;
-  BatchScheduler sched(pool, cfg);
-
-  std::vector<Sequence> seqs;
-  for (std::size_t i = 0; i < 3; ++i) {
-    seqs.push_back(make_block_seq(16, 0.5));
-  }
-  for (auto& s : seqs) sched.submit(&s);
-  ASSERT_EQ(sched.admit(0).size(), 3u);
-  EXPECT_EQ(seqs[0].shard, 0u);
-  EXPECT_EQ(seqs[1].shard, 1u);
-  EXPECT_EQ(seqs[2].shard, 2u);
-}
-
-TEST(BatchScheduler, RoundRobinSkipsShardsThatCannotFit) {
-  // Shard 0's capacity is consumed; the cursor must move on to shard 1
-  // instead of stalling the queue, and the cursor advances from the shard
-  // actually used.
-  mem::BlockPool pool(block_pool_config(3, 10));
-  ASSERT_TRUE(pool.try_reserve(0, 10));  // shard 0 full
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.placement = ShardPlacement::kRoundRobin;
-  BatchScheduler sched(pool, cfg);
-
-  Sequence a = make_block_seq(40, 0.5);  // 10 admission blocks
-  Sequence b = make_block_seq(40, 0.5);
-  sched.submit(&a);
-  sched.submit(&b);
-  ASSERT_EQ(sched.admit(0).size(), 2u);
-  EXPECT_EQ(a.shard, 1u);  // skipped full shard 0
-  EXPECT_EQ(b.shard, 2u);  // cursor continued past a's placement
-  pool.unreserve(0, 10);
-}
-
-TEST(BatchScheduler, LeastLoadedPicksFewestReservedAndTieBreaksLowestId) {
-  mem::BlockPool pool(block_pool_config(3, 32));
-  ASSERT_TRUE(pool.try_reserve(0, 8));  // load: 8 / 2 / 2
-  ASSERT_TRUE(pool.try_reserve(1, 2));
-  ASSERT_TRUE(pool.try_reserve(2, 2));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  BatchScheduler sched(pool, cfg);
-
-  Sequence a = make_block_seq(16, 0.5);
-  sched.submit(&a);
-  ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(a.shard, 1u);  // 1 and 2 tie at 2 reserved; lowest id wins
-  sched.release(&a);
-
-  ASSERT_TRUE(pool.try_reserve(2, 1));  // load: 8 / 2 / 3
-  Sequence b = make_block_seq(16, 0.5);
-  sched.submit(&b);
-  ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(b.shard, 1u);  // strictly least loaded
-}
-
-TEST(BatchScheduler, RoundRobinVsLeastLoadedDivergeUnderAsymmetricLoad) {
-  // Same workload, same pool state: round-robin marches on (0, 1, ...)
-  // while least-loaded steers to the emptiest shard first — the
-  // observable difference between the two policies.
-  for (const bool round_robin : {false, true}) {
-    mem::BlockPool pool(block_pool_config(2, 32));
-    ASSERT_TRUE(pool.try_reserve(0, 6));  // shard 0 pre-loaded
-    SchedulerConfig cfg;
-    cfg.max_batch_size = 0;
-      cfg.placement = round_robin ? ShardPlacement::kRoundRobin
-                                : ShardPlacement::kLeastLoaded;
-    BatchScheduler sched(pool, cfg);
-    Sequence s = make_block_seq(16, 0.5);
-    sched.submit(&s);
-    ASSERT_EQ(sched.admit(0).size(), 1u);
-    EXPECT_EQ(s.shard, round_robin ? 0u : 1u);
-  }
-}
-
 TEST(BatchScheduler, BlockModeOversizedDemandIsRejectedNotDeadlocked) {
-  // A demand above a whole shard can never be satisfied; the scheduler
+  // A demand above the whole pool can never be satisfied; the scheduler
   // marks it kRejected and moves on so the FIFO head cannot deadlock the
   // queue — and the sequence behind it is admitted in the same round.
-  mem::BlockPool pool(block_pool_config(1, 4));
+  mem::BlockPool pool(block_pool_config(4));
   SchedulerConfig cfg;
   BatchScheduler sched(pool, cfg);
   Sequence huge = make_block_seq(100, 1.0);  // far beyond 4 blocks
@@ -384,13 +287,12 @@ TEST(BatchScheduler, BlockModeOversizedDemandIsRejectedNotDeadlocked) {
 // ---------------------------------------------------------------------------
 // Prefix-cache-aware admission: shared chains reduce the charged demand.
 
-/// Indexes a `tokens`-long run (must be whole blocks) built on `shard`,
-/// returning the entry (the builder state is torn down; the index keeps
-/// the chain alive).
+/// Indexes a `tokens`-long run (must be whole blocks), returning the entry
+/// (the builder state is torn down; the index keeps the chain alive).
 const mem::PrefixEntry* index_prefix(mem::BlockPool& pool,
                                      mem::PrefixIndex& index,
-                                     std::size_t shard, std::size_t tokens) {
-  kv::SequenceKvState state(pool, shard, 2);
+                                     std::size_t tokens) {
+  kv::SequenceKvState state(pool, 2);
   std::vector<mem::PrefixToken> run(tokens);
   for (std::size_t i = 0; i < tokens; ++i) {
     run[i] = static_cast<mem::PrefixToken>(i);
@@ -429,20 +331,20 @@ TEST(SequenceCost, UnsharedAdmissionBlocksSubtractResidentPrefix) {
   EXPECT_EQ(full_s.unshared_admission_blocks(8), 4u);  // (6 - 4) * 2
 }
 
-TEST(BatchScheduler, PrefixAffinityPlacesOnResidentShardAtReducedCharge) {
-  mem::BlockPool pool(block_pool_config(2, 32));
+TEST(BatchScheduler, PinnedPrefixAdmitsAtReducedCharge) {
+  // 16-block pool; the index's chain reserves 8 of it, leaving 8: the
+  // sequence's full admission demand (10) would not fit, its unshared
+  // demand (8) fits exactly.
+  mem::BlockPool pool(block_pool_config(16));
   mem::PrefixIndexConfig ic;
   ic.n_layers = 2;
   mem::PrefixIndex index(pool, ic);
-  // Chain resident on shard 1 only (least-loaded alone would pick the
-  // emptier shard 0: shard 1 already carries the index's reservation).
-  const mem::PrefixEntry* entry = index_prefix(pool, index, 1, 32);
+  const mem::PrefixEntry* entry = index_prefix(pool, index, 32);
   ASSERT_NE(entry, nullptr);
-  ASSERT_EQ(pool.shard_stats(1).reserved_blocks, 8u);
+  ASSERT_EQ(pool.stats().reserved_blocks, 8u);
 
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
-  cfg.prefix_index = &index;
   BatchScheduler sched(pool, cfg);
 
   Sequence s = make_block_seq(40, 0.5);
@@ -450,38 +352,14 @@ TEST(BatchScheduler, PrefixAffinityPlacesOnResidentShardAtReducedCharge) {
   s.prefix_blocks_per_layer = 4;
   sched.submit(&s);
   ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(s.shard, 1u);  // affinity beats least-loaded
   EXPECT_EQ(s.reserved_blocks, s.unshared_admission_blocks(8));
   EXPECT_LT(s.reserved_blocks, s.admission_cost_blocks(8));
-}
-
-TEST(BatchScheduler, PrefixSequenceFallsBackToFullChargeElsewhere) {
-  // The resident shard cannot take even the reduced demand; placement
-  // falls back to another shard at the full charge.
-  mem::BlockPool pool(block_pool_config(2, 12));
-  mem::PrefixIndexConfig ic;
-  ic.n_layers = 2;
-  mem::PrefixIndex index(pool, ic);
-  const mem::PrefixEntry* entry = index_prefix(pool, index, 1, 32);
-  ASSERT_NE(entry, nullptr);
-  ASSERT_TRUE(pool.try_reserve(1, 4));  // shard 1: 8 index + 4 = full
-
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.prefix_index = &index;
-  BatchScheduler sched(pool, cfg);
-  Sequence s = make_block_seq(40, 0.5);
-  s.prefix_entry = entry;
-  s.prefix_blocks_per_layer = 4;
-  sched.submit(&s);
-  ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(s.shard, 0u);
-  EXPECT_EQ(s.reserved_blocks, s.admission_cost_blocks(8));
-  pool.unreserve(1, 4);
+  EXPECT_EQ(pool.stats().reserved_blocks, 16u);
+  sched.release(&s);
 }
 
 TEST(BatchScheduler, BlockModeRequiresLayerCount) {
-  mem::BlockPool pool(block_pool_config(1, 8));
+  mem::BlockPool pool(block_pool_config(8));
   SchedulerConfig cfg;
   BatchScheduler sched(pool, cfg);
   Sequence s = make_seq(8, 0.5);  // n_layers left 0
@@ -492,7 +370,7 @@ TEST(BatchScheduler, BlockModeRequiresLayerCount) {
 // Robustness: preemption bookkeeping, victim selection, reservation retry.
 
 TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   SchedulerConfig cfg;
   BatchScheduler sched(pool, cfg);
   Sequence a = make_block_seq(40, 0.5);  // 10 admission blocks: fills pool
@@ -512,7 +390,6 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
   EXPECT_EQ(a.preemptions, 1u);
   EXPECT_EQ(a.queue_enter_step, 5u);
   EXPECT_EQ(a.reserved_blocks, 0u);
-  EXPECT_EQ(a.shard, Sequence::kNoShard);
   EXPECT_EQ(sched.blocks_in_use(), 0u);
   EXPECT_EQ(pool.stats().reserved_blocks, 0u);
   // Victim re-queues behind the arrived waiter b but ahead of the future
@@ -527,7 +404,7 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
 }
 
 TEST(BatchScheduler, PickVictimHonorsAgeFloorAndPreemptionCap) {
-  mem::BlockPool pool(block_pool_config(1, 32));
+  mem::BlockPool pool(block_pool_config(32));
   SchedulerConfig cfg;
   BatchScheduler sched(pool, cfg);
   Sequence a = make_block_seq(16, 0.5);  // arrival 0
@@ -554,13 +431,13 @@ TEST(BatchScheduler, PickVictimHonorsAgeFloorAndPreemptionCap) {
 /// Injector that vetoes every reservation, forever.
 class AlwaysFailReserve final : public mem::FaultInjector {
  public:
-  bool should_fail(mem::FaultOp op, std::size_t /*shard*/) override {
+  bool should_fail(mem::FaultOp op) override {
     return op == mem::FaultOp::kReserve;
   }
 };
 
 TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   AlwaysFailReserve inject;
   pool.set_fault_injector(&inject);
   SchedulerConfig cfg;

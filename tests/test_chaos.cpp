@@ -76,7 +76,6 @@ EngineConfig chaos_config(const std::vector<Request>& requests,
                           double fraction) {
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   std::size_t demand_blocks = 0;
   for (const auto& r : requests) {
@@ -85,8 +84,7 @@ EngineConfig chaos_config(const std::vector<Request>& requests,
   }
   const auto scaled =
       static_cast<std::size_t>(static_cast<double>(demand_blocks) * fraction);
-  ec.paged.blocks_per_shard = std::max<std::size_t>(
-      8, (scaled + ec.paged.n_shards - 1) / ec.paged.n_shards);
+  ec.paged.capacity_blocks = std::max<std::size_t>(16, scaled);
   return ec;
 }
 

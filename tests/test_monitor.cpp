@@ -165,7 +165,6 @@ TEST(Monitor, PollsLiveEngineRun) {
   serve::EngineConfig ec;
   ec.scheduler.max_batch_size = 2;
   ec.scheduler.max_concurrent_tokens = 256;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = true;
   serve::Engine engine(m, ec);

@@ -69,12 +69,10 @@ std::vector<Request> shared_context_requests(std::size_t n,
   return requests;
 }
 
-EngineConfig paged_config(kv::PolicyKind kind, bool prefix_on,
-                          std::size_t n_shards = 2) {
+EngineConfig paged_config(kv::PolicyKind kind, bool prefix_on) {
   EngineConfig ec;
   ec.policy.kind = kind;
   ec.scheduler.max_batch_size = 4;
-  ec.paged.n_shards = n_shards;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = prefix_on;
   return ec;
@@ -249,12 +247,11 @@ TEST(PrefixSharing, ParkedSequenceKeepsItsCowCopies) {
   // they made must still reach EngineStats when the sequence then times
   // out while parked, never resuming.
   Transformer model(tiny_config());
-  EngineConfig ec = paged_config(kv::PolicyKind::kKeyformer, true,
-                                 /*n_shards=*/1);
+  EngineConfig ec = paged_config(kv::PolicyKind::kKeyformer, true);
   // The index keeps the 32-token context (8 blocks); the victim charges 8
   // more, so the 10-block hog fits only once the victim is parked, and
   // then holds the pool until long after the victim's deadline.
-  ec.paged.blocks_per_shard = 18;
+  ec.paged.capacity_blocks = 18;
   ec.preempt.queue_pressure_steps = 3;
   ec.preempt.min_victim_age_steps = 2;
   Engine engine(model, ec);
@@ -299,7 +296,7 @@ TEST(PrefixSharing, StaggeredArrivalsNeverChargeMoreThanUnshared) {
 }
 
 TEST(PrefixSharing, FragmentationCountsPrivateTailsOfAdopters) {
-  // One shard, 8-token blocks, 2 layers, full attention (no eviction, so
+  // 8-token blocks, 2 layers, full attention (no eviction, so
   // the cache grows one row per step). Run 1 inserts a 32-token context
   // (4 blocks/layer); run 2's request adopts it and prefills its 8-token
   // tail into one private block per layer. The occupancy sample before
@@ -311,8 +308,7 @@ TEST(PrefixSharing, FragmentationCountsPrivateTailsOfAdopters) {
   // Shared chain blocks are whole, so they add no slack; the index's
   // copies of them are excluded from the used slots.
   Transformer model(tiny_config());
-  Engine engine(model, paged_config(kv::PolicyKind::kFull, true,
-                                    /*n_shards=*/1));
+  Engine engine(model, paged_config(kv::PolicyKind::kFull, true));
   auto requests = shared_context_requests(1, 32);
   requests[0].gen.max_new_tokens = 4;  // first token + 3 decode steps
   requests[0].gen.cache_ratio = 1.0;

@@ -40,14 +40,14 @@ std::vector<Token> make_prompt(std::size_t n, std::uint64_t seed = 0) {
 
 class EngineParity
     : public ::testing::TestWithParam<
-          std::tuple<PositionalKind, kv::PolicyKind, std::size_t>> {};
+          std::tuple<PositionalKind, kv::PolicyKind>> {};
 
 TEST_P(EngineParity, BatchOfOneMatchesGenerateTokenExactly) {
   // The paged engine must reproduce model::generate — the direct loop on
   // the model's contiguous default state — token for token, for every
-  // policy x positional family x shard count, across block sizes that do
-  // and don't divide the cache lengths; and return every block after.
-  const auto [pos, kind, n_shards] = GetParam();
+  // policy x positional family, across block sizes that do and don't
+  // divide the cache lengths; and return every block after.
+  const auto [pos, kind] = GetParam();
   Transformer model(tiny_config(pos));
 
   GenerationConfig g;
@@ -65,7 +65,6 @@ TEST_P(EngineParity, BatchOfOneMatchesGenerateTokenExactly) {
   for (const std::size_t block_tokens : {3, 16}) {
     EngineConfig ec;
     ec.policy.kind = kind;
-    ec.paged.n_shards = n_shards;
     ec.paged.block_tokens = block_tokens;
     Engine engine(model, ec);
     const auto responses = engine.run({&req, 1});
@@ -82,7 +81,7 @@ TEST_P(EngineParity, BatchOfOneMatchesGenerateTokenExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesTimesFamiliesTimesShards, EngineParity,
+    PoliciesTimesFamilies, EngineParity,
     ::testing::Combine(::testing::Values(PositionalKind::kRoPE,
                                          PositionalKind::kALiBi,
                                          PositionalKind::kLearned),
@@ -91,12 +90,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          kv::PolicyKind::kRandom,
                                          kv::PolicyKind::kStreamingLLM,
                                          kv::PolicyKind::kH2O,
-                                         kv::PolicyKind::kKeyformer),
-                       ::testing::Values(std::size_t{1}, std::size_t{2})),
+                                         kv::PolicyKind::kKeyformer)),
     [](const auto& info) {
       return to_string(std::get<0>(info.param)) + "_" +
-             kv::to_string(std::get<1>(info.param)) + "_" +
-             std::to_string(std::get<2>(info.param)) + "shard";
+             kv::to_string(std::get<1>(info.param));
     });
 
 TEST(Engine, GenerateMatchesEngineRun) {
@@ -123,10 +120,9 @@ TEST(Engine, GenerateMatchesEngineRun) {
   EXPECT_EQ(responses[0].peak_cache_tokens, direct.peak_cache_tokens);
 }
 
-TEST(Engine, DefaultConfigPagesOnOneUnboundedShard) {
+TEST(Engine, DefaultConfigPagesOnOneUnboundedPool) {
   Transformer model(tiny_config());
   Engine engine(model, EngineConfig{});
-  EXPECT_EQ(engine.pool().n_shards(), 1u);
   EXPECT_EQ(engine.pool().stats().capacity_blocks, 0u);  // unbounded
   Request req;
   req.prompt = make_prompt(20);
@@ -357,7 +353,6 @@ TEST(Engine, PagedMixedBatchMatchesGenerateAndLeaksNothing) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = 4;
   ec.scheduler.max_concurrent_tokens = 120;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   Engine paged(model, ec);
   const auto got = paged.run(requests);
@@ -412,11 +407,10 @@ TEST(Engine, PagedModeDerivesPoolCapacityFromTokenBudget) {
   Transformer model(tiny_config());  // 2 layers
   EngineConfig ec;
   ec.scheduler.max_concurrent_tokens = 100;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   Engine engine(model, ec);
-  // 2 layers * ceil(100/8)=13 -> 26 blocks, split over 2 shards = 13 each.
-  EXPECT_EQ(engine.pool().config().blocks_per_shard, 13u);
+  // 2 layers * ceil(100/8)=13 -> 26 blocks.
+  EXPECT_EQ(engine.pool().config().capacity_blocks, 26u);
   EXPECT_EQ(engine.pool().stats().capacity_blocks, 26u);
 }
 
@@ -478,10 +472,9 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
 
     EngineConfig ec;
     ec.policy.kind = kind;
-    ec.paged.n_shards = 1;
     ec.paged.block_tokens = 8;
-    // One shard, room for one 32-token prompt (8 blocks) but not two.
-    ec.paged.blocks_per_shard = 10;
+    // Room for one 32-token prompt (8 blocks) but not two.
+    ec.paged.capacity_blocks = 10;
     ec.preempt.queue_pressure_steps = 2;
     ec.preempt.min_victim_age_steps = 2;
     Engine engine(model, ec);
@@ -496,7 +489,7 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
     // Solo, unpressured runs: identical streams.
     for (std::size_t i = 0; i < 2; ++i) {
       EngineConfig solo_cfg = ec;
-      solo_cfg.paged.blocks_per_shard = 0;  // derive: effectively unbounded
+      solo_cfg.paged.capacity_blocks = 0;  // derive: effectively unbounded
       Engine solo(model, solo_cfg);
       Request alone = requests[i];
       alone.arrival_step = 0;
@@ -549,10 +542,9 @@ TEST(EngineRobustness, MaxQueueStepsTimesOutStarvedWaiter) {
   EXPECT_EQ(engine.stats().timeouts, 1u);
 }
 
-TEST(EngineRobustness, OversizedForShardRejectedRestOfBatchCompletes) {
-  // PR 4 threw out of run() for a demand above a whole shard; now the
-  // request is contained as kRejected and its batchmates still decode —
-  // token-exactly.
+TEST(EngineRobustness, OversizedForPoolRejectedRestOfBatchCompletes) {
+  // A demand above the whole pool is contained as kRejected (never thrown
+  // out of run()) and its batchmates still decode — token-exactly.
   Transformer model(tiny_config());
   std::vector<Request> requests(2);
   requests[0].prompt = make_prompt(128, 0);  // 16 blocks/layer: hopeless
@@ -562,9 +554,8 @@ TEST(EngineRobustness, OversizedForShardRejectedRestOfBatchCompletes) {
   requests[1].gen.cache_ratio = 0.5;
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
-  ec.paged.blocks_per_shard = 8;
+  ec.paged.capacity_blocks = 8;
   Engine engine(model, ec);
   const auto responses = engine.run(requests);
   EXPECT_EQ(responses[0].finish, FinishReason::kRejected);

@@ -139,7 +139,6 @@ TEST(ServeTimeline, PoolCountersUnderPagedMemory) {
   EngineConfig ec;
   ec.scheduler.max_batch_size = 2;
   ec.scheduler.max_concurrent_tokens = 256;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   Engine engine(m, ec);
   engine.run(make_requests(4, 24, 8));
@@ -202,9 +201,8 @@ TEST(ServeTimeline, PreemptThenTimeoutKeepsOrderedStamps) {
   requests[1].arrival_step = 4;  // starved behind request 0
 
   EngineConfig ec;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
-  ec.paged.blocks_per_shard = 10;  // one 32-token prompt fits, not two
+  ec.paged.capacity_blocks = 10;  // one 32-token prompt fits, not two
   // Pressure window 3: request 1 (queued at 4) parks request 0 at step 7;
   // the parked victim's own counter-pressure would fire at step 10, but
   // the engine sheds deadlines first each step — so request 0 leaves as a
@@ -256,7 +254,7 @@ TEST(ServeTimeline, PreemptThenTimeoutKeepsOrderedStamps) {
 class FailAllocationsAfter final : public mem::FaultInjector {
  public:
   explicit FailAllocationsAfter(std::size_t allow) : allow_(allow) {}
-  bool should_fail(mem::FaultOp op, std::size_t /*shard*/) override {
+  bool should_fail(mem::FaultOp op) override {
     if (op != mem::FaultOp::kAllocate) return false;
     return calls_.fetch_add(1, std::memory_order_relaxed) >= allow_;
   }
@@ -279,7 +277,6 @@ TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
   requests[0].gen.cache_ratio = 1.0;
 
   EngineConfig ec;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
   ec.preempt.max_per_sequence = 2;
   Engine engine(m, ec);
